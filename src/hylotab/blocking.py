@@ -88,9 +88,6 @@ class BlockInfo:
     phantom: list     # node id -> phantom (indirectly blocked)?
     blocker: list     # node id -> blocking node id, or None
 
-    def blocked(self, i) -> bool:
-        return self.direct[i] or self.phantom[i]
-
 
 def recompute_blocking(labels, prec, blockable, top_noms, sat_labels) -> BlockInfo:
     """One pass in node order: a node is directly blocked by the least

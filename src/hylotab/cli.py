@@ -18,10 +18,10 @@ from .corpus import (
     tiling_at,
     tiling_conv,
 )
-from .formulas import Formula, Incl, Trans, nnf
-from .fragments import classify
+from .formulas import Incl, Trans, nnf
+from .fragments import FragmentError, classify
 from .parser import ParseError, Problem, parse, print_problem
-from .preprocess import FragmentError, preprocess
+from .preprocess import preprocess
 from .semantics import (
     BudgetError,
     bounded_sat,
@@ -32,7 +32,7 @@ from .semantics import (
     saturation_violations,
     validate_extraction,
 )
-from .tableau import TOP_NOMINAL, Limits, solve
+from .tableau import Limits, solve
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -56,13 +56,7 @@ def _limits(args) -> Limits:
 
 def _cmd_solve(args) -> int:
     problem = _read_problem(args.file)
-    try:
-        prepared = preprocess(problem)
-    except FragmentError as exc:
-        print("RESULT: OUTSIDE-FRAGMENT")
-        for w in exc.witnesses:
-            print("witness: %s at %s" % w)
-        return EXIT_FRAGMENT
+    prepared = preprocess(problem)
     result = solve(prepared, _limits(args))
     if result.verdict == "limit":
         print("RESULT: LIMIT")
@@ -104,13 +98,7 @@ def _cmd_check_fragment(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     problem = _read_problem(args.file)
-    try:
-        prepared = preprocess(problem)
-    except FragmentError as exc:
-        print("RESULT: OUTSIDE-FRAGMENT")
-        for w in exc.witnesses:
-            print("witness: %s at %s" % w)
-        return EXIT_FRAGMENT
+    prepared = preprocess(problem)
     print("RESULT: OK")
     print(print_problem(prepared), end="")
     return EXIT_SAT
@@ -172,13 +160,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_validate(args) -> int:
     problem = _read_problem(args.file)
-    try:
-        prepared = preprocess(problem)
-    except FragmentError as exc:
-        print("RESULT: OUTSIDE-FRAGMENT")
-        for w in exc.witnesses:
-            print("witness: %s at %s" % w)
-        return EXIT_FRAGMENT
+    prepared = preprocess(problem)
     result = solve(prepared, _limits(args))
     if result.verdict == "limit":
         print("RESULT: LIMIT")
@@ -255,9 +237,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except FragmentError as exc:
+        print("RESULT: OUTSIDE-FRAGMENT")
+        for w in exc.witnesses:
+            print("witness: %s at %s" % w)
+        return EXIT_FRAGMENT
     except ParseError as exc:
         print("RESULT: INPUT-ERROR")
         print("parse error at %s" % exc)
+        return EXIT_INPUT
+    except RecursionError:
+        print("RESULT: INPUT-ERROR")
+        print("input nested too deeply")
         return EXIT_INPUT
     except (OSError, ValueError) as exc:
         print("RESULT: INPUT-ERROR")

@@ -8,8 +8,7 @@ in the tableau engine and in blocking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 FRESH_PREFIX = "_"
 
@@ -68,9 +67,6 @@ class Incl:
 
     def __str__(self) -> str:
         return "%s <= %s" % (self.left, self.right)
-
-
-Assertion = object  # Trans | Incl; kept loose, isinstance checks below
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +162,10 @@ ATOMS = (Prop, Nom, Var, Top, Bot)
 # ---------------------------------------------------------------------------
 # Negation normal form
 
+# The operator a negation turns each operator into.
+_DUAL = {And: Or, Or: And, Diamond: Box, Box: Diamond, E: A, A: E, At: At, Down: Down}
+
+
 def nnf(f: Formula) -> Formula:
     """Push negations down to atoms.
 
@@ -175,49 +175,18 @@ def nnf(f: Formula) -> Formula:
     """
     if isinstance(f, ATOMS):
         return f
-    if isinstance(f, And):
-        return And(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return Or(nnf(f.left), nnf(f.right))
-    if isinstance(f, Diamond):
-        return Diamond(f.rel, nnf(f.sub), f.grade)
-    if isinstance(f, Box):
-        return Box(f.rel, nnf(f.sub), f.grade)
-    if isinstance(f, E):
-        return E(nnf(f.sub))
-    if isinstance(f, A):
-        return A(nnf(f.sub))
-    if isinstance(f, At):
-        return At(f.at, nnf(f.sub))
-    if isinstance(f, Down):
-        return Down(f.var, nnf(f.sub))
-    if isinstance(f, Neg):
-        g = f.sub
-        if isinstance(g, (Prop, Nom, Var)):
-            return f
-        if isinstance(g, Top):
-            return Bot()
-        if isinstance(g, Bot):
-            return Top()
-        if isinstance(g, Neg):
-            return nnf(g.sub)
-        if isinstance(g, And):
-            return Or(nnf(Neg(g.left)), nnf(Neg(g.right)))
-        if isinstance(g, Or):
-            return And(nnf(Neg(g.left)), nnf(Neg(g.right)))
-        if isinstance(g, Diamond):
-            return Box(g.rel, nnf(Neg(g.sub)), g.grade)
-        if isinstance(g, Box):
-            return Diamond(g.rel, nnf(Neg(g.sub)), g.grade)
-        if isinstance(g, E):
-            return A(nnf(Neg(g.sub)))
-        if isinstance(g, A):
-            return E(nnf(Neg(g.sub)))
-        if isinstance(g, At):
-            return At(g.at, nnf(Neg(g.sub)))
-        if isinstance(g, Down):
-            return Down(g.var, nnf(Neg(g.sub)))
-    raise TypeError("not a formula: %r" % (f,))
+    if not isinstance(f, Neg):
+        return _rebuild(f, [nnf(g) for g in children(f)])
+    g = f.sub
+    if isinstance(g, (Prop, Nom, Var)):
+        return f
+    if isinstance(g, Top):
+        return Bot()
+    if isinstance(g, Bot):
+        return Top()
+    if isinstance(g, Neg):
+        return nnf(g.sub)
+    return _rebuild(g, [nnf(Neg(h)) for h in children(g)], _DUAL.get(type(g)))
 
 
 def is_nnf(f: Formula) -> bool:
@@ -267,26 +236,24 @@ def subst_nom(f: Formula, a: str, b: str) -> Formula:
     return _rebuild(f, [subst_nom(g, a, b) for g in children(f)])
 
 
-def _rebuild(f: Formula, subs: list) -> Formula:
-    if isinstance(f, And):
-        return And(subs[0], subs[1])
-    if isinstance(f, Or):
-        return Or(subs[0], subs[1])
-    if isinstance(f, Neg):
+def _rebuild(f: Formula, subs: list, op: type | None = None) -> Formula:
+    """A node of class `op` (default: f's own) with f's relation, grade,
+    prefix or variable, over the children `subs`.
+    """
+    op = op or type(f)
+    if op is And or op is Or:
+        return op(subs[0], subs[1])
+    if op is Neg:
         return Neg(subs[0])
-    if isinstance(f, Diamond):
-        return Diamond(f.rel, subs[0], f.grade)
-    if isinstance(f, Box):
-        return Box(f.rel, subs[0], f.grade)
-    if isinstance(f, E):
-        return E(subs[0])
-    if isinstance(f, A):
-        return A(subs[0])
-    if isinstance(f, At):
+    if op is Diamond or op is Box:
+        return op(f.rel, subs[0], f.grade)
+    if op is E or op is A:
+        return op(subs[0])
+    if op is At:
         return At(f.at, subs[0])
-    if isinstance(f, Down):
+    if op is Down:
         return Down(f.var, subs[0])
-    raise TypeError(f)
+    raise TypeError("not a formula: %r" % (f,))
 
 
 # ---------------------------------------------------------------------------

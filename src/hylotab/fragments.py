@@ -3,66 +3,83 @@ that govern decidability, and the restrictions on graded modalities.
 
 All detectors expect NNF input; "scope" is plain AST dominance (an
 @-jump does not cut scope).  Universal operators are [R], [A] and the
-graded [R]^n.
+graded [R]^n.  One preorder pass (`scan`) finds every witness; the
+detectors and `classify` are views on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formulas import (
-    A,
-    ATOMS,
-    Box,
-    Diamond,
-    Down,
-    Formula,
-    children,
-    is_nnf,
-    nnf,
-)
+from .formulas import A, Box, Diamond, Down, Formula, children, nnf
 
 # A position is a tuple of child indices from the root.
 Path = tuple
 
 
-def _walk(f: Formula, path: Path = ()):
-    yield path, f
-    for i, g in enumerate(children(f)):
-        yield from _walk(g, path + (i,))
+class FragmentError(ValueError):
+    """The input lies outside the decidable fragment."""
 
-
-def at_path(f: Formula, path: Path) -> Formula:
-    for i in path:
-        f = children(f)[i]
-    return f
+    def __init__(self, message, witnesses=None):
+        super().__init__(message)
+        self.witnesses = witnesses or []
 
 
 def is_universal(f: Formula) -> bool:
     return isinstance(f, (Box, A))
 
 
-def universal_ops(f: Formula) -> set:
-    """Positions of all universal operators ([R], [A], graded [R]^n)."""
-    return {path for path, g in _walk(f) if is_universal(g)}
+@dataclass
+class Scan:
+    """Witnesses of one formula, each list in preorder of its nodes."""
+
+    box_down_box: list = field(default_factory=list)  # binders under and over a universal
+    down_box: list = field(default_factory=list)      # binders over a universal
+    graded: list = field(default_factory=list)        # graded restriction violations
 
 
-def _contains_universal(f: Formula) -> bool:
-    return any(is_universal(g) for _, g in _walk(f))
+def scan(f: Formula) -> Scan:
+    """Visit each node of the NNF formula f once and collect all witnesses."""
+    out = Scan()
+    _scan(f, (), False, out)
+    return out
 
 
-def _contains_down_box(f: Formula) -> list:
-    """Paths of binders with a universal operator in their scope."""
-    return [
-        path
-        for path, g in _walk(f)
-        if isinstance(g, Down) and _contains_universal(g.sub)
-    ]
+def _scan(f: Formula, path: Path, under: bool, out: Scan) -> tuple[bool, bool]:
+    """Returns whether f contains a universal operator, and whether it
+    contains a binder scoping over one.  A node's witnesses are known
+    only after its subtree, so they are inserted at the list positions
+    reached before it, which keeps every list in preorder.
+    """
+    universal = is_universal(f)
+    marks = (len(out.box_down_box), len(out.down_box), len(out.graded))
+    has_universal = has_down_box = False
+    for i, g in enumerate(children(f)):
+        u, d = _scan(g, path + (i,), under or universal, out)
+        has_universal |= u
+        has_down_box |= d
+    if isinstance(f, Down) and has_universal:
+        has_down_box = True
+        out.down_box.insert(marks[1], ("down-box", path))
+        if under:
+            out.box_down_box.insert(marks[0], ("box-down-box", path))
+    elif isinstance(f, Box) and f.grade is not None:
+        found = []
+        if under:
+            found.append(("graded-box-under-universal (1a)", path))
+        if has_down_box:
+            found.append(("graded-box-body-has-down-box (1b)", path))
+        out.graded[marks[2]:marks[2]] = found
+    elif isinstance(f, Diamond) and f.grade is not None and under and has_universal:
+        out.graded.insert(
+            marks[2], ("graded-diamond-under-universal-with-universal-body (2)", path)
+        )
+    return has_universal or universal, has_down_box
 
 
 def detect_down_box(f: Formula) -> tuple[bool, list]:
     """The pattern: a binder scoping over a universal operator."""
-    witnesses = [("down-box", p) for p in _contains_down_box(f)]
+    witnesses = scan(f).down_box
     return bool(witnesses), witnesses
 
 
@@ -70,20 +87,8 @@ def detect_box_down_box(f: Formula) -> tuple[bool, list]:
     """The undecidability trigger: a binder that both lies under a
     universal operator and scopes over one.
     """
-    witnesses = []
-    for path, g in _walk(f):
-        if not is_universal(g):
-            continue
-        for sub_path in _contains_down_box(g):
-            # sub_path is relative to g's subtree; child 0 is g's body
-            witnesses.append(("box-down-box", path + sub_path))
-    # deduplicate binders reported under several outer universals
-    seen, out = set(), []
-    for name, p in witnesses:
-        if p not in seen:
-            seen.add(p)
-            out.append((name, p))
-    return bool(out), out
+    witnesses = scan(f).box_down_box
+    return bool(witnesses), witnesses
 
 
 def check_graded_restrictions(f: Formula) -> tuple[bool, list]:
@@ -94,26 +99,7 @@ def check_graded_restrictions(f: Formula) -> tuple[bool, list]:
     2.  every graded diamond either occurs under no universal operator
         or has a body free of universal operators.
     """
-    witnesses = []
-    under: dict[Path, bool] = {}
-
-    def visit(g, path, under_universal):
-        under[path] = under_universal
-        nxt = under_universal or is_universal(g)
-        for i, c in enumerate(children(g)):
-            visit(c, path + (i,), nxt)
-
-    visit(f, (), False)
-
-    for path, g in _walk(f):
-        if isinstance(g, Box) and g.grade is not None:
-            if under[path]:
-                witnesses.append(("graded-box-under-universal (1a)", path))
-            if _contains_down_box(g.sub):
-                witnesses.append(("graded-box-body-has-down-box (1b)", path))
-        elif isinstance(g, Diamond) and g.grade is not None:
-            if under[path] and _contains_universal(g.sub):
-                witnesses.append(("graded-diamond-under-universal-with-universal-body (2)", path))
+    witnesses = scan(f).graded
     return not witnesses, witnesses
 
 
@@ -131,9 +117,10 @@ class FragmentVerdict:
 
 def classify(problem) -> FragmentVerdict:
     """Run all detectors on the NNF of the problem's formula."""
-    f = nnf(problem.formula)
-    assert is_nnf(f)
-    bdb, w1 = detect_box_down_box(f)
-    db, w2 = detect_down_box(f)
-    graded_ok, w3 = check_graded_restrictions(f)
-    return FragmentVerdict(bdb, db, graded_ok, w1 + w2 + w3)
+    s = scan(nnf(problem.formula))
+    return FragmentVerdict(
+        bool(s.box_down_box),
+        bool(s.down_box),
+        not s.graded,
+        s.box_down_box + s.down_box + s.graded,
+    )

@@ -39,7 +39,6 @@ from .formulas import (
     Nom,
     Or,
     Prop,
-    Relation,
     Top,
     Trans,
     Var,

@@ -7,7 +7,6 @@ with a universal operator in its scope.
 from __future__ import annotations
 
 from .formulas import (
-    A,
     And,
     At,
     Box,
@@ -24,19 +23,11 @@ from .formulas import (
     children,
     has_grades,
     nnf,
-    nominals,
+    subst_var,
     _rebuild,
 )
-from .fragments import FragmentVerdict, _contains_universal, classify
+from .fragments import FragmentError, classify, scan
 from .parser import Problem
-
-
-class FragmentError(ValueError):
-    """The input lies outside the decidable fragment."""
-
-    def __init__(self, message, witnesses=None):
-        super().__init__(message)
-        self.witnesses = witnesses or []
 
 
 class FreshNames:
@@ -136,32 +127,28 @@ def tau(f: Formula, fresh: FreshNames | None = None) -> Formula:
     """
     if has_grades(f):
         raise FragmentError("graded operator in input to the translation")
-    from .fragments import detect_box_down_box
+    found = scan(f)
+    if found.box_down_box:
+        raise FragmentError(
+            "input contains a universal-binder-universal nesting", found.box_down_box
+        )
+    critical = {path for _, path in found.down_box}
+    return _tau(f, (), critical, fresh or FreshNames())
 
-    bdb, witnesses = detect_box_down_box(f)
-    if bdb:
-        raise FragmentError("input contains a universal-binder-universal nesting", witnesses)
-    return _tau(f, fresh or FreshNames())
 
-
-def _tau(f: Formula, fresh: FreshNames) -> Formula:
-    if isinstance(f, At):
-        return At(f.at, _tau(f.sub, fresh))
-    if isinstance(f, And):
-        return And(_tau(f.left, fresh), _tau(f.right, fresh))
-    if isinstance(f, Or):
-        return Or(_tau(f.left, fresh), _tau(f.right, fresh))
-    if isinstance(f, Diamond):
-        return Diamond(f.rel, _tau(f.sub, fresh), f.grade)
-    if isinstance(f, E):
-        return E(_tau(f.sub, fresh))
+def _tau(f: Formula, path: tuple, critical: set, fresh: FreshNames) -> Formula:
+    """`path` is f's position in the input of `tau`; substitution keeps
+    the shape, so it still indexes the binders found there.
+    """
     if isinstance(f, Down):
-        if not _contains_universal(f.sub):
+        if path not in critical:
             return f
         b = fresh.nominal()
-        from .formulas import subst_var
-
-        return And(Nom(b), _tau(subst_var(f.sub, f.var, b), fresh))
+        return And(Nom(b), _tau(subst_var(f.sub, f.var, b), path + (0,), critical, fresh))
+    if isinstance(f, (At, And, Or, Diamond, E)):
+        return _rebuild(
+            f, [_tau(g, path + (i,), critical, fresh) for i, g in enumerate(children(f))]
+        )
     return f
 
 

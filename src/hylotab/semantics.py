@@ -10,7 +10,7 @@ tiny vocabularies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formulas import (
     A,
@@ -232,7 +232,7 @@ def extract_model(branch, blocking) -> Extraction:
     play this is an approximation, so extracted models are validated
     rather than trusted.
     """
-    from .tableau import Sat, edge_label, edge_readings, is_blockable, is_relational
+    from .tableau import Sat, edge_label, edge_readings, is_relational
 
     labels = branch.labels
     n = len(labels)

@@ -42,6 +42,7 @@ from .formulas import (
     subst_nom,
     subst_var,
 )
+from .fragments import FragmentError, scan
 from .parser import Problem, print_formula
 
 TOP_NOMINAL = "_0"
@@ -113,7 +114,6 @@ class Branch:
         self.trans_node: dict = {}    # sym -> node id
         self.rels: tuple = ()
         self.subst_log: list = []     # (a, b) applied replacements
-        self.events: list = []
         self.fresh_counter: int = 0
         self.input_formula: Formula | None = None
 
@@ -129,7 +129,6 @@ class Branch:
         c.trans_node = self.trans_node
         c.rels = self.rels
         c.subst_log = list(self.subst_log)
-        c.events = list(self.events)
         c.fresh_counter = self.fresh_counter
         c.input_formula = self.input_formula
         return c
@@ -168,7 +167,6 @@ class Branch:
                 out.append(lab)
         self.labels = out
         self.subst_log.append((a, b))
-        self.events.append("subst '%s -> '%s" % (a, b))
 
     # -- derived views, recomputed per scheduling step ----------------------
 
@@ -179,7 +177,7 @@ class Branch:
             self.labels, self.prec, blockable, self.top_noms, sat_labels
         )
 
-    def closure_witness(self, info: BlockInfo | None = None):
+    def closure_witness(self):
         """A pair of contradictory labels, or None if the branch is open.
         A label 'a: false also closes the branch.
         """
@@ -211,7 +209,7 @@ class Branch:
             rule, prem = self.prov[i]
             src = rule if not prem else "%s %s" % (rule, ",".join(map(str, prem)))
             lines.append("(%d) %s  [%s]" % (i, format_label(lab), src))
-        lines.extend(self.events)
+        lines.extend("subst '%s -> '%s" % ab for ab in self.subst_log)
         return lines
 
 
@@ -224,6 +222,11 @@ def init_branch(problem: Problem) -> Branch:
         raise ValueError("graded operators must be eliminated before solving")
     if not is_ground(f):
         raise ValueError("input formula must be ground")
+    critical = scan(f).down_box
+    if critical:
+        raise FragmentError(
+            "binder scoping over a universal operator; preprocess first", critical
+        )
     b = Branch()
     b.input_formula = f
     b.add(Sat(TOP_NOMINAL, f), None, "init", ())
@@ -455,9 +458,10 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
     """Decide satisfiability of an ungraded ground problem.
 
     The input must already be free of binders scoping over universal
-    operators (run the preprocessing pipeline first if needed).  On
-    "sat" the result carries the complete open branch; on "unsat" the
-    trace of the last refuted branch.
+    operators (run the preprocessing pipeline first if needed); such
+    input raises FragmentError, and graded or open input ValueError.
+    On "sat" the result carries the complete open branch; on "unsat"
+    the trace of the last refuted branch.
     """
     limits = limits or Limits()
     start = time.monotonic()

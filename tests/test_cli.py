@@ -29,8 +29,12 @@ def test_solve_unsat(tmp_path, capsys):
 
 def test_solve_fragment_rejection(tmp_path, capsys):
     f = write(tmp_path, "p.hl", "formula: [r] down x . [r] x;")
-    assert main(["solve", f]) == 3
-    assert first_line(capsys) == "RESULT: OUTSIDE-FRAGMENT"
+    for command in ("solve", "preprocess", "validate"):
+        assert main([command, f]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "RESULT: OUTSIDE-FRAGMENT",
+            "witness: box-down-box at (0,)",
+        ]
 
 
 def test_solve_limit(tmp_path, capsys):
@@ -51,6 +55,20 @@ def test_input_error(tmp_path, capsys):
     f = write(tmp_path, "p.hl", "formula: (p;")
     assert main(["solve", f]) == 4
     assert first_line(capsys) == "RESULT: INPUT-ERROR"
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [" & ".join(["p"] * 3000), "<r> " * 1200 + "p"],
+    ids=["wide-conjunction", "deep-diamonds"],
+)
+def test_deep_input_error(tmp_path, capsys, formula):
+    f = write(tmp_path, "p.hl", "formula: %s;" % formula)
+    assert main(["solve", f]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "RESULT: INPUT-ERROR",
+        "input nested too deeply",
+    ]
 
 
 def test_missing_file(capsys):

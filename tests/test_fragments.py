@@ -77,3 +77,54 @@ def test_classify_plain_fragment():
     v = classify(Problem([], f("down x . <r> (x & p) & [r] q")))
     assert v.preprocessable
     assert not v.has_down_box
+
+
+BDB, DB = "box-down-box", "down-box"
+G1A = "graded-box-under-universal (1a)"
+G1B = "graded-box-body-has-down-box (1b)"
+G2 = "graded-diamond-under-universal-with-universal-body (2)"
+
+
+def witnesses(text):
+    return classify(Problem([], parse_formula(text))).witnesses
+
+
+def test_witnesses_nested_binders_under_universals():
+    assert witnesses("[r] down x . [r] down y . [r] p") == [
+        (BDB, (0,)), (BDB, (0, 0, 0)), (DB, (0,)), (DB, (0, 0, 0)),
+    ]
+    assert witnesses("[r] down x . (down y . [r] y | @x [A] p)") == [
+        (BDB, (0,)), (BDB, (0, 0, 0)), (DB, (0,)), (DB, (0, 0, 0)),
+    ]
+    assert witnesses("down x . (<r> down y . [r] y & [A] down z . <r> z)") == [
+        (DB, ()), (DB, (0, 0, 0)),
+    ]
+    assert witnesses("([r] down x . [r] p) & [A] down y . [r] q") == [
+        (BDB, (0, 0)), (BDB, (1, 0)), (DB, (0, 0)), (DB, (1, 0)),
+    ]
+
+
+def test_witnesses_binder_with_two_universal_ancestors():
+    assert witnesses("[A] [r] down x . [r] x") == [(BDB, (0, 0)), (DB, (0, 0))]
+
+
+def test_witnesses_graded_restrictions_in_order():
+    assert witnesses("[s] ([r]^1 down x . [r] x & <r>^2 [r] p)") == [
+        (BDB, (0, 0, 0)), (DB, (0, 0, 0)),
+        (G1A, (0, 0)), (G1B, (0, 0)), (G2, (0, 1)),
+    ]
+    assert witnesses("[s] [r]^1 [r]^2 down x . [r] x") == [
+        (BDB, (0, 0, 0)), (DB, (0, 0, 0)),
+        (G1A, (0,)), (G1B, (0,)), (G1A, (0, 0)), (G1B, (0, 0)),
+    ]
+    assert witnesses("[A] <r>^1 (<r>^2 [r] p & [A] p)") == [(G2, (0,)), (G2, (0, 0, 0))]
+
+
+def test_witnesses_tilings():
+    assert classify(tiling_at(default_tiles())).witnesses == [
+        (G1A, (0, 0, 1, 0, 1, 0)), (G1A, (0, 0, 1, 1, 0)),
+    ]
+    assert classify(tiling_conv(default_tiles())).witnesses == [
+        (G1A, (0, 0, 0, 1, 0, 1, 0)), (G1A, (0, 0, 0, 1, 1, 0)),
+        (G1A, (0, 0, 1, 0, 0)), (G1A, (0, 0, 1, 1, 0)),
+    ]

@@ -138,6 +138,15 @@ def test_rejects_graded_input():
         solve(parse("formula: <r>^1 p;"))
 
 
+@pytest.mark.parametrize("text", ["[A] <r> down x . [r-] !x", "down x . [r] !x"])
+def test_rejects_binder_over_universal(text):
+    from hylotab.fragments import FragmentError
+
+    with pytest.raises(FragmentError) as exc:
+        solve(parse("formula: %s;" % text), Limits(timeout=5))
+    assert exc.value.witnesses
+
+
 def test_rejects_open_formula():
     from hylotab.formulas import Var
     from hylotab.parser import Problem
