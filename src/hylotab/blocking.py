@@ -6,6 +6,12 @@ an earlier unblocked node's label; descendants of blocked nodes (along
 the offspring relation) become phantoms.  Both sets are recomputed on
 demand from the current branch state, in a single pass over the nodes
 in creation order.
+
+A renaming can only exist between labels whose bodies have the same
+nominal-erased skeleton (`formulas.shape`).  The pass therefore keeps
+the candidate blockers grouped by skeleton and tries `maps_to` only
+within a node's own group, instead of against every earlier node; the
+groups keep node order, so the least blocker found is the same.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .formulas import ATOMS, At, Box, Diamond, Down, Nom, Prop, children
+from .formulas import Box, Prop, shape
 
 
 def nominal_profiles(sat_labels) -> dict:
@@ -36,38 +42,17 @@ def nominal_profiles(sat_labels) -> dict:
 _EMPTY = (frozenset(), frozenset())
 
 
-def _align(f, g, pairs) -> bool:
-    """Structural alignment of two formulas that may differ only in
-    their nominals; collects the induced nominal pairs.
-    """
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, Nom):
-        pairs.append((f.name, g.name))
-        return True
-    if isinstance(f, ATOMS):
-        return f == g
-    if isinstance(f, At):
-        return _align(f.at, g.at, pairs) and _align(f.sub, g.sub, pairs)
-    if isinstance(f, (Diamond, Box)):
-        if f.rel != g.rel or f.grade != g.grade:
-            return False
-        return _align(f.sub, g.sub, pairs)
-    if isinstance(f, Down):
-        return f.var == g.var and _align(f.sub, g.sub, pairs)
-    return all(_align(fc, gc, pairs) for fc, gc in zip(children(f), children(g)))
-
-
 def maps_to(lab_m, lab_n, top_noms, profiles) -> bool:
     """True iff lab_m can be turned into lab_n by an injective renaming
     of non-top nominals where each nominal is renamed to a compatible
     one (top nominals must stay fixed).
     """
-    pairs = [(lab_m.nom, lab_n.nom)]
-    if not _align(lab_m.body, lab_n.body, pairs):
+    skel_m, names_m = shape(lab_m.body)
+    skel_n, names_n = shape(lab_n.body)
+    if skel_m != skel_n:
         return False
     pi: dict = {}
-    for d, e in pairs:
+    for d, e in zip((lab_m.nom,) + names_m, (lab_n.nom,) + names_n):
         if d in top_noms or e in top_noms:
             if d != e:
                 return False
@@ -99,13 +84,11 @@ def recompute_blocking(labels, prec, blockable, top_noms, sat_labels) -> BlockIn
     direct = [False] * n
     phantom = [False] * n
     blocker = [None] * n
+    groups: dict = {}  # skeleton -> earlier unblocked blockable nodes
     for i in range(n):
         if blockable[i]:
-            for m in range(i):
-                if direct[m] or phantom[m]:
-                    continue
-                if not blockable[m]:
-                    continue
+            group = groups.setdefault(shape(labels[i].body)[0], [])
+            for m in group:
                 if maps_to(labels[m], labels[i], top_noms, profiles):
                     direct[i] = True
                     blocker[i] = m
@@ -117,4 +100,6 @@ def recompute_blocking(labels, prec, blockable, top_noms, sat_labels) -> BlockIn
                     phantom[i] = True
                     break
                 a = prec[a]
+            if blockable[i] and not phantom[i]:
+                group.append(i)
     return BlockInfo(direct, phantom, blocker)

@@ -91,9 +91,13 @@ def _cmd_check_fragment(args) -> int:
         % ("yes" if verdict.has_box_down_box else "no")
     )
     print("graded-restrictions-met: %s" % ("yes" if verdict.graded_ok else "no"))
-    for name, path in verdict.witnesses:
-        print("witness: %s at %s" % (name, list(path)))
+    _print_witnesses(verdict.witnesses)
     return EXIT_SAT if verdict.preprocessable else EXIT_FRAGMENT
+
+
+def _print_witnesses(witnesses) -> None:
+    for name, path in witnesses:
+        print("witness: %s at %s" % (name, list(path)))
 
 
 def _cmd_preprocess(args) -> int:
@@ -239,8 +243,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FragmentError as exc:
         print("RESULT: OUTSIDE-FRAGMENT")
-        for w in exc.witnesses:
-            print("witness: %s at %s" % w)
+        _print_witnesses(exc.witnesses)
         return EXIT_FRAGMENT
     except ParseError as exc:
         print("RESULT: INPUT-ERROR")

@@ -3,7 +3,8 @@ subformula closure for multi-modal hybrid logic.
 
 Formulas are immutable trees with structural equality, so they can be
 used freely as dict keys and set members (label comparison is pervasive
-in the tableau engine and in blocking).
+in the tableau engine and in blocking).  Each node keeps its hash, its
+nominals and its nominal-erased shape once computed.
 """
 
 from __future__ import annotations
@@ -72,82 +73,109 @@ class Incl:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
-class Prop:
+class Node:
+    """Base of the immutable tree classes.  Structural facts (hash,
+    `nominals`, `shape`) are computed on first use and kept on the node,
+    outside the compared fields.
+    """
+
+    __slots__ = ("_hash", "_noms", "_shape")
+
+
+def node(cls):
+    """Make a Node subclass a frozen, slotted dataclass whose structural
+    hash is computed once.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", structural(self))
+            return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@node
+class Prop(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Nom:
+@node
+class Nom(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Var:
+@node
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Top:
+@node
+class Top(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Bot:
+@node
+class Bot(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
+@node
+class Neg(Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@node
+class And(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@node
+class Or(Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Diamond:
+@node
+class Diamond(Node):
     rel: Relation
     sub: "Formula"
     grade: int | None = None
 
 
-@dataclass(frozen=True)
-class Box:
+@node
+class Box(Node):
     rel: Relation
     sub: "Formula"
     grade: int | None = None
 
 
-@dataclass(frozen=True)
-class E:
+@node
+class E(Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class A:
+@node
+class A(Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class At:
+@node
+class At(Node):
     """Satisfaction statement u:F, with u a nominal or a variable."""
 
     at: "Formula"  # Nom or Var
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class Down:
+@node
+class Down(Node):
     var: str
     sub: "Formula"
 
@@ -224,15 +252,15 @@ def subst_var(f: Formula, x: str, a: str) -> Formula:
 
 
 def subst_nom(f: Formula, a: str, b: str) -> Formula:
-    """Replace every occurrence of nominal a with b."""
-    if isinstance(f, Nom):
-        return Nom(b) if f.name == a else f
-    if isinstance(f, ATOMS):
+    """Replace every occurrence of nominal a with b; subtrees without a
+    are kept, not rebuilt.
+    """
+    if a not in nominals(f):
         return f
+    if isinstance(f, Nom):
+        return Nom(b)
     if isinstance(f, At):
         return At(subst_nom(f.at, a, b), subst_nom(f.sub, a, b))
-    if isinstance(f, Down):
-        return Down(f.var, subst_nom(f.sub, a, b))
     return _rebuild(f, [subst_nom(g, a, b) for g in children(f)])
 
 
@@ -278,15 +306,42 @@ def is_ground(f: Formula) -> bool:
     return not free_vars(f)
 
 
-def nominals(f: Formula) -> set:
-    if isinstance(f, Nom):
-        return {f.name}
-    if isinstance(f, At):
-        return nominals(f.at) | nominals(f.sub)
-    out: set = set()
-    for g in children(f):
-        out |= nominals(g)
-    return out
+def nominals(f: Formula) -> frozenset:
+    try:
+        return f._noms
+    except AttributeError:
+        parts = [frozenset((f.name,))] if isinstance(f, Nom) else map(nominals, _named(f))
+        object.__setattr__(f, "_noms", frozenset().union(*parts))
+        return f._noms
+
+
+_ERASED = Nom("")
+
+
+def shape(f: Formula) -> tuple:
+    """(skeleton, names): f with every nominal renamed to the empty name,
+    and the erased names in preorder (an @-prefix before its body).  Two
+    formulas differ at most in their nominals iff their skeletons are
+    equal; their name tuples then zip into the induced nominal pairs.
+    """
+    if not nominals(f):
+        return f, ()
+    try:
+        return f._shape
+    except AttributeError:
+        if isinstance(f, Nom):
+            out = (_ERASED, (f.name,))
+        else:
+            skeletons, names = zip(*map(shape, _named(f)))
+            skeleton = At(*skeletons) if isinstance(f, At) else _rebuild(f, skeletons)
+            out = (skeleton, sum(names, ()))
+        object.__setattr__(f, "_shape", out)
+        return out
+
+
+def _named(f: Formula) -> tuple:
+    """The children of f, and the prefix of an @ before its body."""
+    return (f.at, f.sub) if isinstance(f, At) else children(f)
 
 
 def rel_syms(f: Formula) -> set:

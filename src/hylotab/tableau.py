@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .blocking import BlockInfo, recompute_blocking
 from .formulas import (
@@ -27,6 +28,7 @@ from .formulas import (
     Formula,
     Incl,
     Neg,
+    Node,
     Nom,
     Or,
     Prop,
@@ -38,6 +40,7 @@ from .formulas import (
     has_grades,
     is_ground,
     nnf,
+    node,
     nominals,
     subst_nom,
     subst_var,
@@ -49,8 +52,8 @@ TOP_NOMINAL = "_0"
 BRANCH_FRESH = "_b"
 
 
-@dataclass(frozen=True)
-class Sat:
+@node
+class Sat(Node):
     """Satisfaction statement: nominal `nom` labels formula `body`."""
 
     nom: str
@@ -92,10 +95,6 @@ def format_label(lab) -> str:
     if isinstance(lab, Sat):
         return "'%s: %s" % (lab.nom, print_formula(lab.body))
     return str(lab)
-
-
-def occurs_in(nom: str, lab) -> bool:
-    return isinstance(lab, Sat) and (lab.nom == nom or nom in nominals(lab.body))
 
 
 class Branch:
@@ -157,14 +156,16 @@ class Branch:
         return Incl(left.inv(), right.sym) in self.incl_set
 
     def substitute(self, a: str, b: str) -> None:
-        """Replace nominal a by b in every node label."""
+        """Replace nominal a by b in every node label; labels without a
+        stay the same objects.
+        """
         out = []
         for lab in self.labels:
             if isinstance(lab, Sat):
-                nom = b if lab.nom == a else lab.nom
-                out.append(Sat(nom, subst_nom(lab.body, a, b)))
-            else:
-                out.append(lab)
+                body = subst_nom(lab.body, a, b)
+                if body is not lab.body or lab.nom == a:
+                    lab = Sat(b if lab.nom == a else lab.nom, body)
+            out.append(lab)
         self.labels = out
         self.subst_log.append((a, b))
 
@@ -277,7 +278,8 @@ def step(branch: Branch):
         ("closed", None)   the branch is closed
         ("applied", None)  a rule extended or rewrote the branch
         ("split", other)   a disjunction split; `other` is the new branch
-        ("done", None)     no rule applies: branch complete and open
+        ("done", info)     no rule applies: branch complete and open;
+                           `info` is its BlockInfo
     """
     if branch.closure_witness() is not None:
         return ("closed", None)
@@ -428,7 +430,7 @@ def step(branch: Branch):
             branch.add(Sat(w, f.sub), i, "dia", (i,))
         return ("applied", None)
 
-    return ("done", None)
+    return ("done", info)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +448,18 @@ class Result:
     verdict: str                 # "sat" | "unsat" | "limit"
     branch: Branch | None = None
     blocking: BlockInfo | None = None
-    trace: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
     def is_sat(self) -> bool:
         return self.verdict == "sat"
+
+    @cached_property
+    def trace(self) -> list:
+        """The derivation of `branch`, formatted on first access; [] on a limit."""
+        if self.verdict == "limit" or self.branch is None:
+            return []
+        return self.branch.trace()
 
 
 def solve(problem: Problem, limits: Limits | None = None) -> Result:
@@ -489,20 +497,8 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
             if status == "closed":
                 last = branch
                 break
-            return Result(
-                "sat",
-                branch,
-                branch.blocking(),
-                branch.trace(),
-                _stats(branches, steps, start),
-            )
-    return Result(
-        "unsat",
-        last,
-        None,
-        last.trace() if last else [],
-        _stats(branches, steps, start),
-    )
+            return Result("sat", branch, other, _stats(branches, steps, start))
+    return Result("unsat", last, None, _stats(branches, steps, start))
 
 
 def _stats(branches, steps, start):

@@ -33,7 +33,7 @@ def test_solve_fragment_rejection(tmp_path, capsys):
         assert main([command, f]) == 3
         assert capsys.readouterr().out.splitlines() == [
             "RESULT: OUTSIDE-FRAGMENT",
-            "witness: box-down-box at (0,)",
+            "witness: box-down-box at [0]",
         ]
 
 
@@ -82,6 +82,17 @@ def test_check_fragment(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "RESULT: PREPROCESSABLE"
     assert "binder-over-universal: yes" in out
+    # witness paths print as in the fragment rejection of `solve`
+    f = write(tmp_path, "q.hl", "formula: [r] down x . [r] x;")
+    assert main(["check-fragment", f]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "RESULT: OUTSIDE-FRAGMENT",
+        "binder-over-universal: yes",
+        "universal-binder-universal: yes",
+        "graded-restrictions-met: yes",
+        "witness: box-down-box at [0]",
+        "witness: down-box at [0]",
+    ]
 
 
 def test_preprocess_output(tmp_path, capsys):

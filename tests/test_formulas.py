@@ -1,5 +1,7 @@
 import random
+from dataclasses import FrozenInstanceError
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,20 +19,26 @@ from hylotab.formulas import (
     Or,
     Prop,
     Top,
+    Trans,
     Var,
     bwd,
+    children,
     free_vars,
     fwd,
     is_instance_of,
     is_nnf,
     nnf,
     nominals,
+    shape,
     size,
     subformula_closure,
     subst_nom,
     subst_var,
 )
 from hylotab.semantics import Interpretation, evaluate
+from hylotab.tableau import Branch, Sat
+
+from test_blocking import ref_align
 
 
 def random_formula(rng, depth, bound=()):
@@ -143,3 +151,145 @@ def test_is_instance_of():
     pattern2 = And(Var("x"), Var("x"))
     assert is_instance_of(And(Nom("c"), Nom("c")), pattern2)
     assert not is_instance_of(And(Nom("c"), Nom("d")), pattern2)
+
+
+# -- memoized facts: shape, sharing, hashes ---------------------------------
+
+NAMES = ("a", "b", "c")
+
+
+def named_formula(rng, depth, bound=()):
+    """Formula over a few nominals, with @-prefixes that are nominals or
+    variables, graded modalities and binders; not necessarily in NNF.
+    """
+    if depth == 0 or rng.random() < 0.2:
+        atoms = [Prop("p"), Nom(rng.choice(NAMES)), Top()] + [Var(x) for x in bound]
+        return rng.choice(atoms)
+    sub = lambda: named_formula(rng, depth - 1, bound)
+    op = rng.randrange(8)
+    if op == 0:
+        return Neg(sub())
+    if op == 1:
+        return rng.choice([And, Or])(sub(), sub())
+    if op == 2:
+        return rng.choice([Diamond, Box])(
+            rng.choice([fwd("r"), bwd("r")]), sub(), rng.choice([None, 1])
+        )
+    if op == 3:
+        return rng.choice([E, A])(sub())
+    if op in (4, 5):
+        prefix = [Nom(rng.choice(NAMES))] + [Var(x) for x in bound]
+        return At(rng.choice(prefix), sub())
+    return Down("x", named_formula(rng, depth - 1, bound + ("x",)))
+
+
+def kids(f):
+    return (f.at, f.sub) if isinstance(f, At) else children(f)
+
+
+def with_kids(f, new):
+    if isinstance(f, At):
+        return At(*new)
+    if isinstance(f, (Diamond, Box)):
+        return type(f)(f.rel, new[0], f.grade)
+    if isinstance(f, Down):
+        return Down(f.var, new[0])
+    return type(f)(*new) if new else f
+
+
+def rename(f, ren):
+    """Rename the nominals of f by the dict ren (not necessarily injective)."""
+    if isinstance(f, Nom):
+        return Nom(ren.get(f.name, f.name))
+    return with_kids(f, [rename(g, ren) for g in kids(f)])
+
+
+def variants(f):
+    """Formulas that differ from f at one node, other than in a nominal name."""
+    if isinstance(f, (Prop, Nom)):
+        yield Prop("q")
+    if isinstance(f, (And, Or)):
+        yield (Or if isinstance(f, And) else And)(f.left, f.right)
+    if isinstance(f, (Diamond, Box)):
+        yield type(f)(f.rel.inv(), f.sub, f.grade)
+        yield type(f)(f.rel, f.sub, 1 if f.grade is None else None)
+    if isinstance(f, Down):
+        yield Down("y", f.sub)
+    for i, g in enumerate(kids(f)):
+        for h in variants(g):
+            yield with_kids(f, kids(f)[:i] + (h,) + kids(f)[i + 1:])
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_shape_agrees_with_reference_alignment(seed):
+    rng = random.Random(seed)
+    f = named_formula(rng, 3)
+    renamed = rename(f, {a: rng.choice(NAMES + ("d",)) for a in NAMES})
+    near = list(variants(renamed))
+    others = rng.sample(near, min(3, len(near))) + [named_formula(rng, 3), named_formula(rng, 1)]
+    for g in [f, renamed] + others:
+        pairs = []
+        aligned = ref_align(f, g, pairs)
+        (skel_f, names_f), (skel_g, names_g) = shape(f), shape(g)
+        assert (skel_f == skel_g) == aligned
+        if aligned:
+            assert list(zip(names_f, names_g)) == pairs
+            assert len(names_f) == len(names_g)
+        assert not nominals(skel_f) - {""}
+
+
+def test_shape_names_in_alignment_preorder():
+    f = At(Nom("a"), And(Diamond(fwd("r"), Nom("b")), Neg(Nom("a"))))
+    skeleton, names = shape(f)
+    assert names == ("a", "b", "a")
+    assert skeleton == shape(rename(f, {"a": "c", "b": "d"}))[0]
+    assert shape(Prop("p")) == (Prop("p"), ())
+
+
+def test_subst_nom_shares_untouched_subtrees():
+    left = Diamond(fwd("r"), And(Prop("p"), Nom("b")))
+    f = And(left, At(Nom("a"), Prop("q")))
+    assert subst_nom(f, "c", "d") is f
+    g = subst_nom(f, "a", "d")
+    assert g == And(left, At(Nom("d"), Prop("q")))
+    assert g.left is left
+
+
+def test_branch_substitute_keeps_untouched_labels():
+    b = Branch()
+    b.add(Sat("a", Diamond(fwd("r"), Nom("c"))), None, "init", ())
+    b.add(Sat("b", Prop("p")), None, "init", ())
+    b.add(Trans("r"), None, "assert", ())
+    b.add(Sat("c", Box(fwd("r"), Prop("q"))), None, "init", ())
+    before = list(b.labels)
+    b.substitute("a", "b")
+    assert b.labels[0] == Sat("b", Diamond(fwd("r"), Nom("c")))
+    assert all(b.labels[i] is before[i] for i in (1, 2, 3))
+    b.substitute("c", "b")
+    assert b.labels[1] is before[1] and b.labels[2] is before[2]
+    assert b.labels[3] == Sat("b", Box(fwd("r"), Prop("q")))
+
+
+def test_cached_hash_is_structural():
+    def build():
+        return At(Nom("a"), Down("x", Box(fwd("r"), Or(Var("x"), Prop("p")), 1)))
+
+    f, g = build(), build()
+    assert f is not g and f == g
+    # fill f's caches first, then compare with the untouched copy
+    hash(f), nominals(f), shape(f)
+    assert hash(f) == hash(g) == hash(build())
+    assert hash(Sat("a", f)) == hash(Sat("a", g))
+    assert {f: 1}[g] == 1
+    assert And(Prop("p"), Prop("q")) != Or(Prop("p"), Prop("q"))
+
+
+def test_nodes_stay_frozen():
+    f = And(Prop("p"), Nom("a"))
+    hash(f), nominals(f)
+    with pytest.raises(FrozenInstanceError):
+        f.left = Prop("q")
+    with pytest.raises(FrozenInstanceError):
+        Sat("a", f).nom = "b"
+    assert nominals(f) == frozenset({"a"})
