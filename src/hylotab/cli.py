@@ -18,7 +18,7 @@ from .corpus import (
     tiling_at,
     tiling_conv,
 )
-from .formulas import Incl, Trans, nnf
+from .formulas import Incl, Top, Trans, nnf
 from .fragments import FragmentError, classify
 from .parser import ParseError, Problem, parse, print_problem
 from .preprocess import preprocess
@@ -54,23 +54,28 @@ def _limits(args) -> Limits:
     )
 
 
-def _cmd_solve(args) -> int:
-    problem = _read_problem(args.file)
-    prepared = preprocess(problem)
+def _solved(args):
+    """Read, preprocess and solve the problem file.  A limit or unsat
+    result prints its verdict line and gives its exit code; a sat result
+    gives None, and the caller reports it.
+    """
+    prepared = preprocess(_read_problem(args.file))
     result = solve(prepared, _limits(args))
-    if result.verdict == "limit":
-        print("RESULT: LIMIT")
-        return EXIT_LIMIT
-    if result.verdict == "unsat":
-        print("RESULT: UNSAT")
-        if args.trace:
-            for line in result.trace:
-                print(line)
-        return EXIT_UNSAT
-    print("RESULT: SAT")
+    code = {"limit": EXIT_LIMIT, "unsat": EXIT_UNSAT}.get(result.verdict)
+    if code is not None:
+        print("RESULT: %s" % result.verdict.upper())
+    return prepared, result, code
+
+
+def _cmd_solve(args) -> int:
+    prepared, result, code = _solved(args)
+    if code is None:
+        print("RESULT: SAT")
     if args.trace:
-        for line in result.trace:
+        for line in result.trace:  # [] on a limit
             print(line)
+    if code is not None:
+        return code
     if args.model:
         ok, ex = validate_extraction(result.branch, result.blocking, prepared)
         print("model validated: %s" % ("yes" if ok else "no"))
@@ -152,7 +157,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "frame":
         prop = frame_property(args.property, "r", args.n)
         if isinstance(prop, (Trans, Incl)):
-            problem = Problem([prop], nnf(parse("formula: true;").formula))
+            problem = Problem([prop], Top())
         else:
             problem = Problem([], prop)
     else:
@@ -163,15 +168,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    problem = _read_problem(args.file)
-    prepared = preprocess(problem)
-    result = solve(prepared, _limits(args))
-    if result.verdict == "limit":
-        print("RESULT: LIMIT")
-        return EXIT_LIMIT
-    if result.verdict == "unsat":
-        print("RESULT: UNSAT")
-        return EXIT_UNSAT
+    prepared, result, code = _solved(args)
+    if code is not None:
+        return code
     ok, ex = validate_extraction(result.branch, result.blocking, prepared)
     violations = saturation_violations(result.branch, result.blocking)
     print("RESULT: %s" % ("VALIDATED" if ok and not violations else "UNVALIDATED"))
@@ -190,10 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    limits = Limits()
+
     def add_limits(p):
-        p.add_argument("--max-nodes", type=int, default=100_000)
-        p.add_argument("--max-branches", type=int, default=10_000)
-        p.add_argument("--timeout", type=float, default=60.0)
+        p.add_argument("--max-nodes", type=int, default=limits.max_nodes)
+        p.add_argument("--max-branches", type=int, default=limits.max_branches)
+        p.add_argument("--timeout", type=float, default=limits.timeout)
 
     p = sub.add_parser("solve", help="decide satisfiability of a problem file")
     p.add_argument("file")

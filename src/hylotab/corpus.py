@@ -117,12 +117,15 @@ def _tile_constraints(tiles, r, u, g) -> Formula:
     return Box(g, conj([one, horiz, vert]))
 
 
-def tiling_at(tiles) -> Problem:
-    """Grid tiling encoded with a spy point and the satisfaction
-    prefix; lies outside the graded restrictions (a graded box occurs
-    under a universal operator).
+_R, _U, _G = fwd("r"), fwd("u"), fwd("g")  # grid right, grid up, spy point's reach
+
+
+def _grid_tiling(tiles, extra: list) -> Problem:
+    """The tiling problem both encodings share: the spy point (alpha),
+    grid successors (beta), the encoding's `extra` conjuncts for grid
+    confluence, and the tile constraints (delta).
     """
-    r, u, g = fwd("r"), fwd("u"), fwd("g")
+    r, u, g = _R, _U, _G
     a = Nom("spy")
     alpha = conj(
         [a, Diamond(g, a), Box(g, Diamond(g, a)), _spypoint(a, g, u), _spypoint(a, g, r)]
@@ -135,6 +138,16 @@ def tiling_at(tiles) -> Problem:
             Box(g, Box(r, Bot(), grade=1)),
         ]
     )
+    delta = _tile_constraints(tiles, r, u, g)
+    return Problem([], conj([alpha, beta] + extra + [delta]))
+
+
+def tiling_at(tiles) -> Problem:
+    """Grid tiling encoded with a spy point and the satisfaction
+    prefix; lies outside the graded restrictions (a graded box occurs
+    under a universal operator).
+    """
+    r, u, g = _R, _U, _G
     gamma = Box(
         g,
         Down(
@@ -142,26 +155,13 @@ def tiling_at(tiles) -> Problem:
             Diamond(u, Diamond(r, Down("y", At(Var("x"), Diamond(r, Diamond(u, Var("y"))))))),
         ),
     )
-    delta = _tile_constraints(tiles, r, u, g)
-    return Problem([], conj([alpha, beta, gamma, delta]))
+    return _grid_tiling(tiles, [gamma])
 
 
 def tiling_conv(tiles) -> Problem:
     """Grid tiling variant using converse modalities for grid
     confluence instead of the satisfaction prefix."""
-    r, u, g = fwd("r"), fwd("u"), fwd("g")
-    a = Nom("spy")
-    alpha = conj(
-        [a, Diamond(g, a), Box(g, Diamond(g, a)), _spypoint(a, g, u), _spypoint(a, g, r)]
-    )
-    beta = conj(
-        [
-            Box(g, Diamond(u, Top())),
-            Box(g, Diamond(r, Top())),
-            Box(g, Box(u, Bot(), grade=1)),
-            Box(g, Box(r, Bot(), grade=1)),
-        ]
-    )
+    r, u, g = _R, _U, _G
     beta2 = conj(
         [
             Box(g, Box(bwd("u"), Bot(), grade=1)),
@@ -184,8 +184,7 @@ def tiling_conv(tiles) -> Problem:
             ),
         ),
     )
-    delta = _tile_constraints(tiles, r, u, g)
-    return Problem([], conj([alpha, beta, beta2, gamma, delta]))
+    return _grid_tiling(tiles, [beta2, gamma])
 
 
 def default_tiles():

@@ -219,9 +219,7 @@ def nnf(f: Formula) -> Formula:
 
 def is_nnf(f: Formula) -> bool:
     """True iff negation appears only on propositions, nominals, variables."""
-    if isinstance(f, Neg):
-        return isinstance(f.sub, (Prop, Nom, Var))
-    return all(is_nnf(g) for g in children(f))
+    return all(isinstance(g.sub, (Prop, Nom, Var)) for g in walk(f) if isinstance(g, Neg))
 
 
 def children(f: Formula) -> tuple:
@@ -344,28 +342,27 @@ def _named(f: Formula) -> tuple:
     return (f.at, f.sub) if isinstance(f, At) else children(f)
 
 
+def walk(f: Formula):
+    """Every node of f in preorder, an @-prefix before its body.  Iterative,
+    so it is safe at any nesting depth.
+    """
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_named(g)))
+
+
 def rel_syms(f: Formula) -> set:
-    out: set = set()
-    if isinstance(f, (Diamond, Box)):
-        out.add(f.rel.sym)
-    for g in children(f):
-        out |= rel_syms(g)
-    return out
+    return {g.rel.sym for g in walk(f) if isinstance(g, (Diamond, Box))}
 
 
 def props(f: Formula) -> set:
-    if isinstance(f, Prop):
-        return {f.name}
-    out: set = set()
-    for g in children(f):
-        out |= props(g)
-    return out
+    return {g.name for g in walk(f) if isinstance(g, Prop)}
 
 
 def has_grades(f: Formula) -> bool:
-    if isinstance(f, (Diamond, Box)) and f.grade is not None:
-        return True
-    return any(has_grades(g) for g in children(f))
+    return any(isinstance(g, (Diamond, Box)) and g.grade is not None for g in walk(f))
 
 
 def size(f: Formula) -> int:
@@ -373,11 +370,7 @@ def size(f: Formula) -> int:
     node separately (u:F has size 2 + size(F)); this is the convention
     the subformula-bound tests rely on.
     """
-    if isinstance(f, ATOMS):
-        return 1
-    if isinstance(f, At):
-        return 2 + size(f.sub)
-    return 1 + sum(size(g) for g in children(f))
+    return sum(1 for _ in walk(f))
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def extract_model(branch, blocking) -> Extraction:
     for lab in relational:
         s = lab.body.rel.sym
         x, y = lab.nom, lab.body.sub.name
-        for inc in branch.incl_set:
+        for inc in branch.incls:
             if inc.left == fwd(s):
                 base.setdefault(inc.right, set()).add((x, y))
             elif inc.left == bwd(s):
@@ -275,8 +275,8 @@ def extract_model(branch, blocking) -> Extraction:
     rho: dict = {}
     for r in base:
         pairs = set(base[r])
-        for inc in branch.incl_set:
-            if inc.right == r and inc.left.sym in branch.trans_syms:
+        for inc in branch.incls:
+            if inc.right == r and inc.left.sym in branch.trans:
                 pairs |= _transitive_closure(
                     _orient(base.get(inc.left.sym, set()), inc.left)
                 )
@@ -430,17 +430,17 @@ def saturation_violations(branch, blocking) -> list:
                     miss("global box", Sat(d, f.sub))
 
     for r in branch.rels:
-        if Incl(fwd(r), r) not in branch.incl_set:
+        if Incl(fwd(r), r) not in branch.incls:
             bad.append("containment reflexivity: %s" % r)
-    for i1 in branch.incl_set:
-        for i2 in branch.incl_set:
-            if i2.left == fwd(i1.right) and Incl(i1.left, i2.right) not in branch.incl_set:
+    for i1 in branch.incls:
+        for i2 in branch.incls:
+            if i2.left == fwd(i1.right) and Incl(i1.left, i2.right) not in branch.incls:
                 bad.append("containment transitivity: %s / %s" % (i1, i2))
-            if i2.left == bwd(i1.right) and Incl(i1.left.inv(), i2.right) not in branch.incl_set:
+            if i2.left == bwd(i1.right) and Incl(i1.left.inv(), i2.right) not in branch.incls:
                 bad.append("containment transitivity: %s / %s" % (i1, i2))
 
     for (x, rel, y) in edges:
-        for inc in branch.incl_set:
+        for inc in branch.incls:
             if inc.left == rel and edge_label(x, fwd(inc.right), y) not in present:
                 miss("containment edge", edge_label(x, fwd(inc.right), y))
 
@@ -451,7 +451,7 @@ def saturation_violations(branch, blocking) -> list:
         for (x, rel, y) in edges:
             if (
                 x == lab.nom
-                and rel.sym in branch.trans_syms
+                and rel.sym in branch.trans
                 and branch.has_incl(rel, lab.body.rel)
             ):
                 if Sat(y, Box(rel, lab.body.sub)) not in present:

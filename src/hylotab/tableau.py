@@ -11,6 +11,7 @@ to a.  Disjunctions split the branch; everything else extends it.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,7 +34,6 @@ from .formulas import (
     Or,
     Prop,
     Relation,
-    Top,
     Trans,
     bwd,
     fwd,
@@ -107,29 +107,20 @@ class Branch:
         self.prec: list = []
         self.prov: list = []          # (rule name, premise node ids)
         self.expanded: set = set()    # blockable nodes already expanded
-        self.incl_set: frozenset = frozenset()
-        self.incl_node: dict = {}     # Incl -> node id
-        self.trans_syms: frozenset = frozenset()
-        self.trans_node: dict = {}    # sym -> node id
+        self.incls: dict = {}         # Incl -> node id
+        self.trans: dict = {}         # transitive sym -> node id
         self.rels: tuple = ()
         self.subst_log: list = []     # (a, b) applied replacements
         self.fresh_counter: int = 0
         self.input_formula: Formula | None = None
 
     def copy(self) -> "Branch":
-        c = Branch.__new__(Branch)
+        c = copy.copy(self)
         c.labels = list(self.labels)
         c.prec = list(self.prec)
         c.prov = list(self.prov)
         c.expanded = set(self.expanded)
-        c.incl_set = self.incl_set
-        c.incl_node = self.incl_node
-        c.trans_syms = self.trans_syms
-        c.trans_node = self.trans_node
-        c.rels = self.rels
         c.subst_log = list(self.subst_log)
-        c.fresh_counter = self.fresh_counter
-        c.input_formula = self.input_formula
         return c
 
     def add(self, lab, parent, rule, premises) -> int:
@@ -152,8 +143,8 @@ class Branch:
         side is normalized by flipping both sides.
         """
         if right.is_forward:
-            return Incl(left, right.sym) in self.incl_set
-        return Incl(left.inv(), right.sym) in self.incl_set
+            return Incl(left, right.sym) in self.incls
+        return Incl(left.inv(), right.sym) in self.incls
 
     def substitute(self, a: str, b: str) -> None:
         """Replace nominal a by b in every node label; labels without a
@@ -233,8 +224,7 @@ def init_branch(problem: Problem) -> Branch:
     b.add(Sat(TOP_NOMINAL, f), None, "init", ())
     b.rels = tuple(sorted(problem.declared_rels))
 
-    incls: dict = {}
-    trans: dict = {}
+    incls, trans = b.incls, b.trans
     for a in problem.assertions:
         if isinstance(a, Trans):
             if a.sym not in trans:
@@ -261,10 +251,6 @@ def init_branch(problem: Problem) -> Branch:
                 if derived not in incls:
                     incls[derived] = b.add(derived, None, "Rel", (incls[i1], incls[i2]))
                     changed = True
-    b.incl_set = frozenset(incls)
-    b.incl_node = incls
-    b.trans_syms = frozenset(trans)
-    b.trans_node = trans
     return b
 
 
@@ -272,7 +258,9 @@ def init_branch(problem: Problem) -> Branch:
 # One expansion step
 
 def step(branch: Branch):
-    """Apply the first applicable rule under the scheduling priority.
+    """Apply the first applicable rule under the scheduling priority:
+    equality merge, the rules of `_extensions` in its order, the
+    disjunction split, then the witness rules.
 
     Returns one of:
         ("closed", None)   the branch is closed
@@ -286,124 +274,30 @@ def step(branch: Branch):
 
     info = branch.blocking()
     labels = branch.labels
-    n = len(labels)
-    nonph = [not info.phantom[i] for i in range(n)]
-    npl = {labels[i] for i in range(n) if nonph[i]}
-
-    def sat_nodes():
-        for i in range(n):
-            if isinstance(labels[i], Sat):
-                yield i, labels[i]
+    live = [
+        i for i, lab in enumerate(labels) if isinstance(lab, Sat) and not info.phantom[i]
+    ]
+    npl = {labels[i] for i in live}
 
     # equality: a non-phantom node 'a: 'b merges the two nominals
-    for i, lab in sat_nodes():
-        if nonph[i] and isinstance(lab.body, Nom) and lab.body.name != lab.nom:
+    for i in live:
+        lab = labels[i]
+        if isinstance(lab.body, Nom) and lab.body.name != lab.nom:
             branch.substitute(lab.nom, lab.body.name)
             return ("applied", None)
 
-    # conjunction, satisfaction prefix, binder
-    for i, lab in sat_nodes():
-        if not nonph[i]:
-            continue
-        f = lab.body
-        if isinstance(f, And):
-            missing = [
-                g for g in (f.left, f.right) if Sat(lab.nom, g) not in npl
-            ]
-            if missing:
-                for g in missing:
-                    branch.add(Sat(lab.nom, g), branch.prec[i], "and", (i,))
-                return ("applied", None)
-        elif isinstance(f, At):
-            concl = Sat(f.at.name, f.sub)
-            if concl not in npl:
-                branch.add(concl, branch.prec[i], "at", (i,))
-                return ("applied", None)
-        elif isinstance(f, Down):
-            concl = Sat(lab.nom, subst_var(f.sub, f.var, lab.nom))
-            if concl not in npl:
-                branch.add(concl, branch.prec[i], "down", (i,))
-                return ("applied", None)
-        elif isinstance(f, Top):
-            pass
-
-    # containment propagation along edges
-    for i, lab in sat_nodes():
-        if nonph[i] and is_relational(lab):
-            for (x, rel, y) in edge_readings(lab):
-                for inc in branch.incl_node:
-                    if inc.left == rel:
-                        concl = edge_label(x, fwd(inc.right), y)
-                        if concl not in npl:
-                            branch.add(
-                                concl, branch.prec[i], "Link", (i, branch.incl_node[inc])
-                            )
-                            return ("applied", None)
-
-    # box along matching edges (major premise may be a phantom)
-    edges = [
-        (m, lab) for m, lab in sat_nodes() if nonph[m] and is_relational(lab)
-    ]
-    for m, lab in edges:
-        for (x, rel, y) in edge_readings(lab):
-            for j, labj in sat_nodes():
-                fj = labj.body
-                if isinstance(fj, Box) and labj.nom == x and fj.rel == rel:
-                    concl = Sat(y, fj.sub)
-                    if concl not in npl:
-                        branch.add(concl, branch.prec[m], "box", (j, m))
-                        return ("applied", None)
-
-    # global box: focus on each nominal of a non-phantom node in turn
-    global_nodes = [(j, labj) for j, labj in sat_nodes() if isinstance(labj.body, A)]
-    if global_nodes:
-        occurring: list = []
-        first_at: dict = {}
-        for i in range(n):
-            if not nonph[i]:
-                continue
-            lab = labels[i]
-            if not isinstance(lab, Sat):
-                continue
-            for nom in [lab.nom] + sorted(nominals(lab.body)):
-                if nom not in first_at:
-                    first_at[nom] = i
-                    occurring.append(nom)
-        for j, labj in global_nodes:
-            for nom in occurring:
-                concl = Sat(nom, labj.body.sub)
-                if concl not in npl:
-                    minor = first_at[nom]
-                    branch.add(concl, branch.prec[minor], "A", (j, minor))
-                    return ("applied", None)
-
-    # transitivity propagation: push boxes along edges of transitive
-    # subrelations (major premise may be a phantom)
-    for m, lab in edges:
-        for (x, rel, y) in edge_readings(lab):
-            if rel.sym not in branch.trans_syms:
-                continue
-            for j, labj in sat_nodes():
-                fj = labj.body
-                if (
-                    isinstance(fj, Box)
-                    and labj.nom == x
-                    and branch.has_incl(rel, fj.rel)
-                ):
-                    concl = Sat(y, Box(rel, fj.sub))
-                    if concl not in npl:
-                        branch.add(
-                            concl,
-                            branch.prec[m],
-                            "Trans",
-                            (j, m, branch.trans_node[rel.sym]),
-                        )
-                        return ("applied", None)
+    for conclusions, k, rule, premises in _extensions(branch, live):
+        missing = [c for c in conclusions if c not in npl]
+        if missing:
+            for c in missing:
+                branch.add(c, branch.prec[k], rule, premises)
+            return ("applied", None)
 
     # disjunction: split
-    for i, lab in sat_nodes():
-        if nonph[i] and isinstance(lab.body, Or):
-            f = lab.body
+    for i in live:
+        lab = labels[i]
+        f = lab.body
+        if isinstance(f, Or):
             left = Sat(lab.nom, f.left)
             right = Sat(lab.nom, f.right)
             if left in npl or right in npl:
@@ -414,23 +308,89 @@ def step(branch: Branch):
             return ("split", other)
 
     # witness rules, subject to single expansion and direct blocking
-    for i, lab in sat_nodes():
-        if not nonph[i] or not is_blockable(lab):
-            continue
-        if i in branch.expanded or info.direct[i]:
+    for i in live:
+        lab = labels[i]
+        if not is_blockable(lab) or i in branch.expanded or info.direct[i]:
             continue
         branch.expanded.add(i)
         f = lab.body
+        w = branch.fresh_nominal()
         if isinstance(f, E):
-            w = branch.fresh_nominal()
             branch.add(Sat(w, f.sub), i, "E", (i,))
         else:
-            w = branch.fresh_nominal()
             branch.add(edge_label(lab.nom, f.rel, w), i, "dia", (i,))
             branch.add(Sat(w, f.sub), i, "dia", (i,))
         return ("applied", None)
 
     return ("done", info)
+
+
+def _extensions(branch: Branch, live: list):
+    """The instances of the non-branching, non-witness rules, lazily and
+    in priority order: and/at/down, Link, box, A, Trans.  Each is
+    (conclusions, k, rule, premises); `step` adds the conclusions not yet
+    on the branch as offspring of `branch.prec[k]`.  Premises are `live`
+    nodes, except the major premise of box, A and Trans (the Box or A
+    node), which may be a phantom.
+    """
+    labels = branch.labels
+    for i in live:
+        lab = labels[i]
+        f = lab.body
+        if isinstance(f, And):
+            yield (Sat(lab.nom, f.left), Sat(lab.nom, f.right)), i, "and", (i,)
+        elif isinstance(f, At):
+            yield (Sat(f.at.name, f.sub),), i, "at", (i,)
+        elif isinstance(f, Down):
+            yield (Sat(lab.nom, subst_var(f.sub, f.var, lab.nom)),), i, "down", (i,)
+
+    # containment propagation along edges
+    readings = [
+        (m, x, rel, y)
+        for m in live
+        if is_relational(labels[m])
+        for (x, rel, y) in edge_readings(labels[m])
+    ]
+    for m, x, rel, y in readings:
+        for inc, k in branch.incls.items():
+            if inc.left == rel:
+                yield (edge_label(x, fwd(inc.right), y),), m, "Link", (m, k)
+
+    # box along matching edges
+    boxes: dict = {}      # nominal -> Box node ids
+    global_nodes = []     # A node ids
+    for j, lab in enumerate(labels):
+        if isinstance(lab, Sat):
+            if isinstance(lab.body, Box):
+                boxes.setdefault(lab.nom, []).append(j)
+            elif isinstance(lab.body, A):
+                global_nodes.append(j)
+    for m, x, rel, y in readings:
+        for j in boxes.get(x, ()):
+            g = labels[j].body
+            if g.rel == rel:
+                yield (Sat(y, g.sub),), m, "box", (j, m)
+
+    # global box: focus on each nominal of a live node in turn, minor
+    # premise the first live node it occurs in
+    if global_nodes:
+        first_at: dict = {}
+        for i in live:
+            lab = labels[i]
+            for nom in [lab.nom] + sorted(nominals(lab.body)):
+                first_at.setdefault(nom, i)
+        for j in global_nodes:
+            for nom, k in first_at.items():
+                yield (Sat(nom, labels[j].body.sub),), k, "A", (j, k)
+
+    # transitivity propagation: push boxes along edges of transitive
+    # subrelations
+    for m, x, rel, y in readings:
+        if rel.sym in branch.trans:
+            for j in boxes.get(x, ()):
+                g = labels[j].body
+                if branch.has_incl(rel, g.rel):
+                    yield (Sat(y, Box(rel, g.sub)),), m, "Trans", (j, m, branch.trans[rel.sym])
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,19 @@ from hylotab.formulas import (
     children,
     free_vars,
     fwd,
+    has_grades,
     is_instance_of,
     is_nnf,
     nnf,
     nominals,
+    props,
+    rel_syms,
     shape,
     size,
     subformula_closure,
     subst_nom,
     subst_var,
+    walk,
 )
 from hylotab.semantics import Interpretation, evaluate
 from hylotab.tableau import Branch, Sat
@@ -127,6 +131,55 @@ def test_size_counts_at_prefix_as_two():
     assert size(Prop("p")) == 1
     assert size(At(Nom("a"), Prop("p"))) == 3
     assert size(And(Prop("p"), Prop("q"))) == 3
+
+
+def test_walk_is_preorder_with_at_prefix_first():
+    f = And(At(Nom("a"), Prop("p")), Diamond(fwd("r"), Var("x")))
+    assert list(walk(f)) == [
+        f, f.left, Nom("a"), Prop("p"), f.right, Var("x")
+    ]
+
+
+def ref_size(f):
+    if isinstance(f, At):
+        return 2 + ref_size(f.sub)
+    return 1 + sum(ref_size(g) for g in children(f))
+
+
+def ref_is_nnf(f):
+    if isinstance(f, Neg):
+        return isinstance(f.sub, (Prop, Nom, Var))
+    return all(ref_is_nnf(g) for g in children(f))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_walk_views_agree_with_recursive_definitions(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, 5)
+    if rng.random() < 0.3:
+        f = And(f, Box(fwd("s"), Prop("t"), grade=1))
+    nodes = [f]
+    for g in nodes:
+        nodes.extend(children(g))
+    assert size(f) == ref_size(f)
+    assert is_nnf(f) == ref_is_nnf(f)
+    assert rel_syms(f) == {g.rel.sym for g in nodes if isinstance(g, (Diamond, Box))}
+    assert props(f) == {g.name for g in nodes if isinstance(g, Prop)}
+    assert has_grades(f) == any(getattr(g, "grade", None) is not None for g in nodes)
+
+
+def test_walk_views_on_deep_chain():
+    """5,000 nested diamonds, built without the parser, exceed the
+    recursion limit of a recursive traversal."""
+    f = Box(fwd("t"), Prop("p"), grade=1)
+    for i in range(5000):
+        f = Diamond(fwd("r" if i % 2 else "s"), f)
+    assert size(f) == 5002
+    assert rel_syms(f) == {"r", "s", "t"}
+    assert props(f) == {"p"}
+    assert has_grades(f)
+    assert is_nnf(f)
+    assert not is_nnf(Diamond(fwd("r"), Neg(f)))
 
 
 def test_subformula_closure_renames_boxes():

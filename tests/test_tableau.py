@@ -37,19 +37,19 @@ def test_backward_diamond_is_blockable():
 
 def test_init_branch_assertion_closure():
     b = init_branch(parse("trans r; r <= s; s <= r; formula: p;"))
-    assert Incl(fwd("r"), "r") in b.incl_set
-    assert Incl(fwd("s"), "s") in b.incl_set
-    assert Incl(fwd("r"), "s") in b.incl_set
-    assert Incl(fwd("s"), "r") in b.incl_set
-    assert b.trans_syms == {"r"}
+    assert Incl(fwd("r"), "r") in b.incls
+    assert Incl(fwd("s"), "s") in b.incls
+    assert Incl(fwd("r"), "s") in b.incls
+    assert Incl(fwd("s"), "r") in b.incls
+    assert b.trans.keys() == {"r"}
 
 
 def test_init_branch_mixed_sign_closure():
     b = init_branch(parse("r- <= s; s <= t; formula: p;"))
-    assert Incl(bwd("r"), "t") in b.incl_set
+    assert Incl(bwd("r"), "t") in b.incls
     b = init_branch(parse("r <= s; s- <= t; formula: p;"))
     # r <= s means r- <= s-, which chains with s- <= t
-    assert Incl(bwd("r"), "t") in b.incl_set
+    assert Incl(bwd("r"), "t") in b.incls
 
 
 def test_refutation_regression():
