@@ -3,9 +3,11 @@ computation of directly blocked and phantom nodes.
 
 Direct blocking identifies a node whose label is a nominal renaming of
 an earlier unblocked node's label; descendants of blocked nodes (along
-the offspring relation) become phantoms.  Both sets are recomputed on
-demand from the current branch state, in a single pass over the nodes
-in creation order.
+the offspring relation) become phantoms.  Both sets come from one pass
+over the nodes in creation order (`BlockInfo.extend`).  A node depends
+only on earlier nodes, the nominal profiles and the top nominals, so
+while those stay the same the pass continues over new nodes instead of
+starting again.
 
 A renaming can only exist between labels whose bodies have the same
 nominal-erased skeleton (`formulas.shape`).  The pass therefore keeps
@@ -42,6 +44,8 @@ def nominal_profiles(sat_labels) -> dict:
 _EMPTY = (frozenset(), frozenset())
 
 
+# The benchmark's tracer (perfbench/tracing.py) patches and counts
+# `maps_to` by name, so `BlockInfo.extend` calls it as a module global.
 def maps_to(lab_m, lab_n, top_noms, profiles) -> bool:
     """True iff lab_m can be turned into lab_n by an injective renaming
     of non-top nominals where each nominal is renamed to a compatible
@@ -69,37 +73,44 @@ def maps_to(lab_m, lab_n, top_noms, profiles) -> bool:
 
 @dataclass
 class BlockInfo:
+    """Blocking of the first len(direct) nodes of a branch under fixed
+    nominal profiles and top nominals.  Node i depends only on the nodes
+    before it, so `extend` decides new nodes without revisiting old ones.
+    """
+
     direct: list      # node id -> directly blocked?
     phantom: list     # node id -> phantom (indirectly blocked)?
     blocker: list     # node id -> blocking node id, or None
+    profiles: dict    # nominal -> profile, as of the last recomputation
+    top_noms: set
+    groups: dict      # skeleton -> unblocked blockable nodes, in node order
+
+    def extend(self, labels, prec, blockable) -> None:
+        """Decide the nodes from len(direct) on, in node order: a node is
+        directly blocked by the least earlier unblocked node whose label
+        maps to its own; a phantom is a non-directly-blocked node whose
+        offspring parent is blocked or a phantom.
+        """
+        direct, phantom, blocker = self.direct, self.phantom, self.blocker
+        for i in range(len(direct), len(labels)):
+            hit = None
+            if blockable[i]:
+                group = self.groups.setdefault(shape(labels[i].body)[0], [])
+                for m in group:
+                    if maps_to(labels[m], labels[i], self.top_noms, self.profiles):
+                        hit = m
+                        break
+            a = prec[i]
+            phantom_i = hit is None and a is not None and (direct[a] or phantom[a])
+            direct.append(hit is not None)
+            phantom.append(phantom_i)
+            blocker.append(hit)
+            if blockable[i] and hit is None and not phantom_i:
+                group.append(i)
 
 
 def recompute_blocking(labels, prec, blockable, top_noms, sat_labels) -> BlockInfo:
-    """One pass in node order: a node is directly blocked by the least
-    earlier unblocked node whose label maps to its own; a phantom is a
-    non-directly-blocked node with a blocked offspring ancestor.
-    """
-    profiles = nominal_profiles(sat_labels)
-    n = len(labels)
-    direct = [False] * n
-    phantom = [False] * n
-    blocker = [None] * n
-    groups: dict = {}  # skeleton -> earlier unblocked blockable nodes
-    for i in range(n):
-        if blockable[i]:
-            group = groups.setdefault(shape(labels[i].body)[0], [])
-            for m in group:
-                if maps_to(labels[m], labels[i], top_noms, profiles):
-                    direct[i] = True
-                    blocker[i] = m
-                    break
-        if not direct[i]:
-            a = prec[i]
-            while a is not None:
-                if direct[a] or phantom[a]:
-                    phantom[i] = True
-                    break
-                a = prec[a]
-            if blockable[i] and not phantom[i]:
-                group.append(i)
-    return BlockInfo(direct, phantom, blocker)
+    """Blocking of all nodes: `BlockInfo.extend` from the empty state."""
+    info = BlockInfo([], [], [], nominal_profiles(sat_labels), top_noms, {})
+    info.extend(labels, prec, blockable)
+    return info

@@ -6,6 +6,7 @@ the bounded semantic oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -30,24 +31,17 @@ from .formulas import (
     Var,
     bwd,
     fwd,
+    is_ground,
 )
 from .parser import Problem
 
 
 def conj(fs) -> Formula:
-    fs = list(fs)
-    out = fs[0]
-    for f in fs[1:]:
-        out = And(out, f)
-    return out
+    return functools.reduce(And, fs)
 
 
 def disj(fs) -> Formula:
-    fs = list(fs)
-    out = fs[0]
-    for f in fs[1:]:
-        out = Or(out, f)
-    return out
+    return functools.reduce(Or, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +156,9 @@ def tiling_conv(tiles) -> Problem:
     """Grid tiling variant using converse modalities for grid
     confluence instead of the satisfaction prefix."""
     r, u, g = _R, _U, _G
-    beta2 = conj(
-        [
-            Box(g, Box(bwd("u"), Bot(), grade=1)),
-            Box(g, Box(bwd("r"), Bot(), grade=1)),
-        ]
-    )
-    gamma = Box(
-        g,
-        Box(
-            u,
-            Box(
-                r,
-                Down(
-                    "x",
-                    Diamond(
-                        bwd("r"),
-                        Diamond(bwd("u"), Diamond(r, Diamond(u, Var("x")))),
-                    ),
-                ),
-            ),
-        ),
-    )
+    beta2 = conj([Box(g, Box(bwd("u"), Bot(), grade=1)), Box(g, Box(bwd("r"), Bot(), grade=1))])
+    back = Diamond(bwd("r"), Diamond(bwd("u"), Diamond(r, Diamond(u, Var("x")))))
+    gamma = Box(g, Box(u, Box(r, Down("x", back))))
     return _grid_tiling(tiles, [beta2, gamma])
 
 
@@ -309,15 +284,5 @@ def enumerate_small_formulas():
     level2 = [u for f in level1 for u in unaries(f)]
     level3 = [u for f in level2 for u in unaries(f)]
 
-    from .formulas import is_ground
-
-    seen = set()
-    out = []
-    for f in itertools.chain(level1, level2, level3):
-        if not is_ground(f):
-            continue
-        if f in seen:
-            continue
-        seen.add(f)
-        out.append(f)
-    return out
+    # first occurrences, in order
+    return list(dict.fromkeys(f for f in itertools.chain(level1, level2, level3) if is_ground(f)))

@@ -198,15 +198,11 @@ def bounded_sat(
 
 def _transitive_closure(pairs: set) -> set:
     out = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(out):
-            for (c, d) in list(out):
-                if c == b and (a, d) not in out:
-                    out.add((a, d))
-                    changed = True
-    return out
+    while True:
+        new = {(a, d) for (a, b) in out for (c, d) in out if b == c} - out
+        if not new:
+            return out
+        out |= new
 
 
 def _orient(pairs: set, rel) -> set:
@@ -355,17 +351,12 @@ def saturation_violations(branch, blocking) -> list:
             nonph_noms.add(labels[i].nom)
             nonph_noms |= nominals(labels[i].body)
 
-    core: list = []
-    for i in range(n):
-        lab = labels[i]
-        if nonph[i]:
-            core.append(i)
-        elif (
-            isinstance(lab, Sat)
-            and lab.nom in nonph_noms
-            and isinstance(lab.body, (Prop, Box))
-        ):
-            core.append(i)
+    core = [
+        i for i, lab in enumerate(labels)
+        if nonph[i] or (
+            isinstance(lab, Sat) and lab.nom in nonph_noms and isinstance(lab.body, (Prop, Box))
+        )
+    ]
     present = {labels[i] for i in core}
     noms: set = set()
     for i in core:
@@ -373,11 +364,7 @@ def saturation_violations(branch, blocking) -> list:
             noms.add(labels[i].nom)
             noms |= nominals(labels[i].body)
 
-    edges: set = set()
-    for i in core:
-        if is_relational(labels[i]):
-            for (x, rel, y) in edge_readings(labels[i]):
-                edges.add((x, rel, y))
+    edges = {e for i in core if is_relational(labels[i]) for e in edge_readings(labels[i])}
 
     bad: list = []
 

@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
+# The benchmark's tracer (perfbench/tracing.py) patches recompute_blocking,
+# nominals and subst_var in this module by name; call them as module globals.
 from .blocking import BlockInfo, recompute_blocking
 from .formulas import (
     A,
@@ -52,12 +54,42 @@ TOP_NOMINAL = "_0"
 BRANCH_FRESH = "_b"
 
 
+class Label(Node):
+    """Node base with a slot that keeps `conclusions`."""
+
+    __slots__ = ("_concl",)
+
+
 @node
-class Sat(Node):
+class Sat(Label):
     """Satisfaction statement: nominal `nom` labels formula `body`."""
 
     nom: str
     body: Formula
+
+
+_RULE = {And: "and", At: "at", Down: "down"}
+
+
+def conclusions(lab: Sat) -> tuple:
+    """The conclusions of an and/at/down label or the disjuncts of an or
+    label, built once per label; () for any other label.
+    """
+    try:
+        return lab._concl
+    except AttributeError:
+        pass
+    f = lab.body
+    if isinstance(f, (And, Or)):
+        out = (Sat(lab.nom, f.left), Sat(lab.nom, f.right))
+    elif isinstance(f, At):
+        out = (Sat(f.at.name, f.sub),)
+    elif isinstance(f, Down):
+        out = (Sat(lab.nom, subst_var(f.sub, f.var, lab.nom)),)
+    else:
+        out = ()
+    object.__setattr__(lab, "_concl", out)
+    return out
 
 
 def is_relational(lab) -> bool:
@@ -97,9 +129,95 @@ def format_label(lab) -> str:
     return str(lab)
 
 
+class Index:
+    """The views of a branch that `step` reads, kept up to date instead of
+    rebuilt on every step.  The label views depend on the labels alone:
+    `add` extends them and `Branch.substitute` rebuilds them.  The live
+    views depend on blocking too: `Branch.blocking` extends them, or
+    starts them from empty after a copy, a substitution or an added Prop
+    or Box label (which may change the nominal profiles).
+    """
+
+    def __init__(self):
+        self.clash = None          # first contradictory pair
+        self.lits: dict = {}       # (nominal, prop, positive?) -> first node
+        self.blockable: list = []
+        self.profile_adds = 0      # Prop and Box labels added
+        self.boxes: dict = {}      # nominal -> Box node ids, phantoms included
+        self.a_nodes: tuple = ()   # A node ids, phantoms included
+        self.reset_live(None)
+
+    def reset_live(self, info) -> None:
+        self.info = info           # BlockInfo of the first `seen` nodes
+        self.info_adds = self.profile_adds  # Prop and Box labels it has seen
+        self.live: list = []       # non-phantom Sat node ids
+        self.npl: set = set()      # their labels
+        self.readings: list = []   # (m, x, rel, y) of live relational nodes
+        self.eq = None             # first live node 'a: 'b with a != b
+        self.first_at: dict = {}   # nominal -> first live node it occurs in
+        # `seen` and `first` count the nodes taken into `live` and
+        # `first_at`.  Before the rule cursors `concl`, `link`, `split` and
+        # `witness`, live nodes (readings, for Link) have nothing left to
+        # add; that holds until the next reset, as `npl` only grows.
+        self.seen = self.concl = self.link = self.split = self.witness = self.first = 0
+
+    def copy(self) -> "Index":
+        c = copy.copy(self)
+        c.lits, c.blockable, c.boxes = dict(self.lits), list(self.blockable), dict(self.boxes)
+        c.reset_live(None)
+        return c
+
+    def add(self, i: int, lab) -> None:
+        self.blockable.append(is_blockable(lab))
+        if not isinstance(lab, Sat):
+            return
+        f = lab.body
+        if isinstance(f, Bot) or (
+            isinstance(f, Neg) and isinstance(f.sub, Nom) and f.sub.name == lab.nom
+        ):
+            self.clash = self.clash or (i, i)
+        positive = isinstance(f, Prop)
+        if positive or (isinstance(f, Neg) and isinstance(f.sub, Prop)):
+            key = (lab.nom, (f if positive else f.sub).name)
+            j = self.lits.get(key + (not positive,))
+            if j is not None and self.clash is None:
+                self.clash = (i, j) if positive else (j, i)
+            self.lits.setdefault(key + (positive,), i)
+        if isinstance(f, (Prop, Box)):
+            self.profile_adds += 1
+        if isinstance(f, Box):
+            self.boxes[lab.nom] = self.boxes.get(lab.nom, ()) + (i,)
+        elif isinstance(f, A):
+            self.a_nodes += (i,)
+
+    def add_live(self, labels) -> None:
+        """Append the non-phantom Sat nodes added since the last call."""
+        for i in range(self.seen, len(labels)):
+            lab = labels[i]
+            if isinstance(lab, Sat) and not self.info.phantom[i]:
+                self.live.append(i)
+                self.npl.add(lab)
+                if is_relational(lab):
+                    self.readings.extend((i,) + r for r in edge_readings(lab))
+                elif self.eq is None and isinstance(lab.body, Nom) and lab.body.name != lab.nom:
+                    self.eq = i
+        self.seen = len(labels)
+
+    def first_occurrences(self, labels) -> dict:
+        """`first_at`, the label's nominal before its body's sorted ones."""
+        for i in self.live[self.first:]:
+            for nom in [labels[i].nom] + sorted(nominals(labels[i].body)):
+                self.first_at.setdefault(nom, i)
+        self.first = len(self.live)
+        return self.first_at
+
+
 class Branch:
     """Mutable branch state.  Node order is creation order; `prec` holds
     each node's offspring parent (None for root nodes).
+
+    `closure_witness`, `copy`, `substitute` and `trace` are wrapped by
+    name by the benchmark's tracer (`perfbench/tracing.py`).
     """
 
     def __init__(self):
@@ -113,6 +231,7 @@ class Branch:
         self.subst_log: list = []     # (a, b) applied replacements
         self.fresh_counter: int = 0
         self.input_formula: Formula | None = None
+        self.index = Index()
 
     def copy(self) -> "Branch":
         c = copy.copy(self)
@@ -121,13 +240,16 @@ class Branch:
         c.prov = list(self.prov)
         c.expanded = set(self.expanded)
         c.subst_log = list(self.subst_log)
+        c.index = self.index.copy()
         return c
 
     def add(self, lab, parent, rule, premises) -> int:
+        i = len(self.labels)
         self.labels.append(lab)
         self.prec.append(parent)
         self.prov.append((rule, tuple(premises)))
-        return len(self.labels) - 1
+        self.index.add(i, lab)
+        return i
 
     def fresh_nominal(self) -> str:
         self.fresh_counter += 1
@@ -148,7 +270,7 @@ class Branch:
 
     def substitute(self, a: str, b: str) -> None:
         """Replace nominal a by b in every node label; labels without a
-        stay the same objects.
+        stay the same objects.  The index is rebuilt.
         """
         out = []
         for lab in self.labels:
@@ -159,41 +281,30 @@ class Branch:
             out.append(lab)
         self.labels = out
         self.subst_log.append((a, b))
-
-    # -- derived views, recomputed per scheduling step ----------------------
+        self.index = Index()
+        for i, lab in enumerate(out):
+            self.index.add(i, lab)
 
     def blocking(self) -> BlockInfo:
-        blockable = [is_blockable(lab) for lab in self.labels]
-        sat_labels = [lab for lab in self.labels if isinstance(lab, Sat)]
-        return recompute_blocking(
-            self.labels, self.prec, blockable, self.top_noms, sat_labels
-        )
+        """The BlockInfo of the current labels: the last one extended over
+        the new nodes, or recomputed once the index's live views were reset
+        or the profiles may have changed.  The live views follow it.
+        """
+        ix, labels = self.index, self.labels
+        if ix.info is None or ix.info_adds != ix.profile_adds:
+            sat_labels = [lab for lab in labels if isinstance(lab, Sat)]
+            ix.reset_live(recompute_blocking(
+                labels, self.prec, ix.blockable, self.top_noms, sat_labels))
+        else:
+            ix.info.extend(labels, self.prec, ix.blockable)
+        ix.add_live(labels)
+        return ix.info
 
     def closure_witness(self):
         """A pair of contradictory labels, or None if the branch is open.
         A label 'a: false also closes the branch.
         """
-        pos: dict = {}
-        neg: dict = {}
-        for i, lab in enumerate(self.labels):
-            if not isinstance(lab, Sat):
-                continue
-            f = lab.body
-            if isinstance(f, Bot):
-                return (i, i)
-            if isinstance(f, Neg) and isinstance(f.sub, Nom) and f.sub.name == lab.nom:
-                return (i, i)
-            if isinstance(f, Prop):
-                key = (lab.nom, f.name)
-                if key in neg:
-                    return (i, neg[key])
-                pos.setdefault(key, i)
-            elif isinstance(f, Neg) and isinstance(f.sub, Prop):
-                key = (lab.nom, f.sub.name)
-                if key in pos:
-                    return (pos[key], i)
-                neg.setdefault(key, i)
-        return None
+        return self.index.clash
 
     def trace(self) -> list:
         lines = []
@@ -273,46 +384,45 @@ def step(branch: Branch):
         return ("closed", None)
 
     info = branch.blocking()
+    ix = branch.index
     labels = branch.labels
-    live = [
-        i for i, lab in enumerate(labels) if isinstance(lab, Sat) and not info.phantom[i]
-    ]
-    npl = {labels[i] for i in live}
+    live, npl = ix.live, ix.npl
 
     # equality: a non-phantom node 'a: 'b merges the two nominals
-    for i in live:
-        lab = labels[i]
-        if isinstance(lab.body, Nom) and lab.body.name != lab.nom:
-            branch.substitute(lab.nom, lab.body.name)
-            return ("applied", None)
+    if ix.eq is not None:
+        lab = labels[ix.eq]
+        branch.substitute(lab.nom, lab.body.name)
+        return ("applied", None)
 
-    for conclusions, k, rule, premises in _extensions(branch, live):
-        missing = [c for c in conclusions if c not in npl]
+    for concl, k, rule, premises in _extensions(branch):
+        missing = [c for c in concl if c not in npl]
         if missing:
             for c in missing:
                 branch.add(c, branch.prec[k], rule, premises)
             return ("applied", None)
 
     # disjunction: split
-    for i in live:
-        lab = labels[i]
-        f = lab.body
-        if isinstance(f, Or):
-            left = Sat(lab.nom, f.left)
-            right = Sat(lab.nom, f.right)
+    for p in range(ix.split, len(live)):
+        ix.split = p
+        i = live[p]
+        if isinstance(labels[i].body, Or):
+            left, right = conclusions(labels[i])
             if left in npl or right in npl:
                 continue
             other = branch.copy()
             branch.add(left, branch.prec[i], "or-left", (i,))
             other.add(right, other.prec[i], "or-right", (i,))
             return ("split", other)
+    ix.split = len(live)
 
     # witness rules, subject to single expansion and direct blocking
-    for i in live:
-        lab = labels[i]
-        if not is_blockable(lab) or i in branch.expanded or info.direct[i]:
+    for p in range(ix.witness, len(live)):
+        ix.witness = p
+        i = live[p]
+        if not ix.blockable[i] or i in branch.expanded or info.direct[i]:
             continue
         branch.expanded.add(i)
+        lab = labels[i]
         f = lab.body
         w = branch.fresh_nominal()
         if isinstance(f, E):
@@ -321,50 +431,42 @@ def step(branch: Branch):
             branch.add(edge_label(lab.nom, f.rel, w), i, "dia", (i,))
             branch.add(Sat(w, f.sub), i, "dia", (i,))
         return ("applied", None)
+    ix.witness = len(live)
 
     return ("done", info)
 
 
-def _extensions(branch: Branch, live: list):
+def _extensions(branch: Branch):
     """The instances of the non-branching, non-witness rules, lazily and
     in priority order: and/at/down, Link, box, A, Trans.  Each is
     (conclusions, k, rule, premises); `step` adds the conclusions not yet
-    on the branch as offspring of `branch.prec[k]`.  Premises are `live`
+    on the branch as offspring of `branch.prec[k]`.  Premises are live
     nodes, except the major premise of box, A and Trans (the Box or A
-    node), which may be a phantom.
+    node), which may be a phantom.  The and/at/down and Link instances
+    start at their index cursors.
     """
+    ix = branch.index
     labels = branch.labels
-    for i in live:
-        lab = labels[i]
-        f = lab.body
-        if isinstance(f, And):
-            yield (Sat(lab.nom, f.left), Sat(lab.nom, f.right)), i, "and", (i,)
-        elif isinstance(f, At):
-            yield (Sat(f.at.name, f.sub),), i, "at", (i,)
-        elif isinstance(f, Down):
-            yield (Sat(lab.nom, subst_var(f.sub, f.var, lab.nom)),), i, "down", (i,)
+    live, readings = ix.live, ix.readings
+    for p in range(ix.concl, len(live)):
+        ix.concl = p
+        i = live[p]
+        rule = _RULE.get(type(labels[i].body))
+        if rule is not None:
+            yield conclusions(labels[i]), i, rule, (i,)
+    ix.concl = len(live)
 
     # containment propagation along edges
-    readings = [
-        (m, x, rel, y)
-        for m in live
-        if is_relational(labels[m])
-        for (x, rel, y) in edge_readings(labels[m])
-    ]
-    for m, x, rel, y in readings:
+    for p in range(ix.link, len(readings)):
+        ix.link = p
+        m, x, rel, y = readings[p]
         for inc, k in branch.incls.items():
             if inc.left == rel:
                 yield (edge_label(x, fwd(inc.right), y),), m, "Link", (m, k)
+    ix.link = len(readings)
 
     # box along matching edges
-    boxes: dict = {}      # nominal -> Box node ids
-    global_nodes = []     # A node ids
-    for j, lab in enumerate(labels):
-        if isinstance(lab, Sat):
-            if isinstance(lab.body, Box):
-                boxes.setdefault(lab.nom, []).append(j)
-            elif isinstance(lab.body, A):
-                global_nodes.append(j)
+    boxes = ix.boxes
     for m, x, rel, y in readings:
         for j in boxes.get(x, ()):
             g = labels[j].body
@@ -373,13 +475,9 @@ def _extensions(branch: Branch, live: list):
 
     # global box: focus on each nominal of a live node in turn, minor
     # premise the first live node it occurs in
-    if global_nodes:
-        first_at: dict = {}
-        for i in live:
-            lab = labels[i]
-            for nom in [lab.nom] + sorted(nominals(lab.body)):
-                first_at.setdefault(nom, i)
-        for j in global_nodes:
+    if ix.a_nodes:
+        first_at = ix.first_occurrences(labels)
+        for j in ix.a_nodes:
             for nom, k in first_at.items():
                 yield (Sat(nom, labels[j].body.sub),), k, "A", (j, k)
 
@@ -440,13 +538,15 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
     while stack:
         branch = stack.pop()
         branches += 1
-        if branches > limits.max_branches:
-            return Result("limit", branch, stats=_stats(branches, steps, start))
         while True:
-            if time.monotonic() - start > limits.timeout:
-                return Result("limit", branch, stats=_stats(branches, steps, start))
-            if len(branch.labels) > limits.max_nodes:
-                return Result("limit", branch, stats=_stats(branches, steps, start))
+            limit = (
+                "branches" if branches > limits.max_branches
+                else "timeout" if time.monotonic() - start > limits.timeout
+                else "nodes" if len(branch.labels) > limits.max_nodes
+                else None
+            )
+            if limit is not None:
+                return Result("limit", branch, stats=_stats(branches, steps, start, limit))
             status, other = step(branch)
             steps += 1
             if status == "applied":
@@ -461,9 +561,13 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
     return Result("unsat", last, None, _stats(branches, steps, start))
 
 
-def _stats(branches, steps, start):
+def _stats(branches, steps, start, limit=None):
+    """`limit` names the cap that stopped the search: "nodes", "branches"
+    or "timeout"; None when the search finished.
+    """
     return {
         "branches": branches,
         "steps": steps,
         "seconds": time.monotonic() - start,
+        "limit": limit,
     }

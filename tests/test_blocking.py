@@ -72,13 +72,15 @@ def test_recompute_blocking_direct_and_phantom():
         Sat("a", Diamond(fwd("r"), Prop("p"))),   # 0: blockable root
         Sat("b", Diamond(fwd("r"), Prop("p"))),   # 1: blocked by 0
         Sat("c", Prop("q")),                      # 2: child of 1 -> phantom
+        Sat("d", Prop("q")),                      # 3: child of 2 -> phantom
     ]
-    prec = [None, None, 1]
-    blockable = [True, True, False]
+    prec = [None, None, 1, 2]
+    blockable = [True, True, False, False]
     info = recompute_blocking(labels, prec, blockable, set(), labels)
     assert not info.direct[0] and not info.phantom[0]
     assert info.direct[1] and info.blocker[1] == 0
     assert not info.direct[2] and info.phantom[2]
+    assert not info.direct[3] and info.phantom[3]
 
 
 def test_blocked_nodes_do_not_block():
@@ -193,16 +195,23 @@ def differential_problems():
 
 def test_grouped_blocking_matches_all_pairs_reference(monkeypatch):
     calls = []
+    blocking = tableau.Branch.blocking
 
-    def checked(labels, prec, blockable, top_noms, sat_labels):
-        info = recompute_blocking(labels, prec, blockable, top_noms, sat_labels)
-        want = ref_recompute_blocking(labels, prec, blockable, top_noms, sat_labels)
+    def checked(branch):
+        # the labels before the call are the ones the returned info decides
+        info = blocking(branch)
+        labels = branch.labels
+        blockable = [is_blockable(lab) for lab in labels]
+        sat_labels = [lab for lab in labels if isinstance(lab, Sat)]
+        want = ref_recompute_blocking(
+            labels, branch.prec, blockable, branch.top_noms, sat_labels
+        )
         assert (info.direct, info.phantom, info.blocker) == want
         calls.append(sum(info.direct))
         return info
 
-    # every blocking computation of every intermediate branch goes through it
-    monkeypatch.setattr(tableau, "recompute_blocking", checked)
+    # every step's blocking, extended or recomputed, goes through it
+    monkeypatch.setattr(tableau.Branch, "blocking", checked)
     for problem in differential_problems():
         solve(preprocess(problem), Limits(max_nodes=2000, max_branches=300, timeout=60))
     assert len(calls) > 1000 and sum(calls) > 0

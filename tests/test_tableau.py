@@ -1,12 +1,16 @@
 import pytest
 
-from hylotab.formulas import Box, Diamond, Incl, Nom, Prop, Trans, bwd, fwd
+from hylotab import tableau
+from hylotab.blocking import recompute_blocking
+from hylotab.formulas import A, Bot, Box, Diamond, Incl, Neg, Nom, Or, Prop, Trans, bwd, fwd, nominals
+from hylotab.fragments import FragmentError
 from hylotab.parser import parse
 from hylotab.preprocess import preprocess
 from hylotab.tableau import (
     Branch,
     Limits,
     Sat,
+    conclusions,
     edge_label,
     edge_readings,
     init_branch,
@@ -14,6 +18,8 @@ from hylotab.tableau import (
     is_relational,
     solve,
 )
+
+from test_engine_golden import LIMITS, corpus
 
 REFUTATION = "trans r; r <= s; s <= r; formula: <s> <s> p & [s] !p;"
 
@@ -153,3 +159,145 @@ def test_rejects_open_formula():
 
     with pytest.raises(ValueError):
         solve(Problem([], Var("x")))
+
+
+@pytest.mark.parametrize(
+    "limits,want",
+    [
+        (Limits(max_nodes=3, timeout=15), "nodes"),
+        (Limits(max_branches=1, timeout=15), "branches"),
+        (Limits(timeout=-1.0), "timeout"),
+        (Limits(timeout=15), None),
+    ],
+)
+def test_stats_name_the_limit_that_fired(limits, want):
+    # the left disjunct closes, so a second branch is needed
+    res = solve(preprocess(parse("formula: [A] <r> true & ((p & !p) | q);")), limits)
+    assert res.stats["limit"] == want
+    assert res.verdict == ("sat" if want is None else "limit")
+
+
+# -- the branch index against from-scratch views ------------------------------
+
+def ref_closure(labels):
+    """The first contradictory pair in node order, by a full scan."""
+    pos, neg = {}, {}
+    for i, lab in enumerate(labels):
+        if not isinstance(lab, Sat):
+            continue
+        f = lab.body
+        if isinstance(f, Bot) or (isinstance(f, Neg) and f.sub == Nom(lab.nom)):
+            return (i, i)
+        if isinstance(f, Prop):
+            if (lab.nom, f.name) in neg:
+                return (i, neg[(lab.nom, f.name)])
+            pos.setdefault((lab.nom, f.name), i)
+        elif isinstance(f, Neg) and isinstance(f.sub, Prop):
+            if (lab.nom, f.sub.name) in pos:
+                return (pos[(lab.nom, f.sub.name)], i)
+            neg.setdefault((lab.nom, f.sub.name), i)
+    return None
+
+
+def check_index(branch):
+    labels, ix = branch.labels, branch.index
+    assert branch.closure_witness() == ref_closure(labels)
+    assert ix.blockable == [is_blockable(lab) for lab in labels]
+    boxes = {}
+    for i, lab in enumerate(labels):
+        if isinstance(lab, Sat) and isinstance(lab.body, Box):
+            boxes.setdefault(lab.nom, []).append(i)
+    assert ix.boxes == {a: tuple(ids) for a, ids in boxes.items()}
+    assert ix.a_nodes == tuple(
+        i for i, lab in enumerate(labels) if isinstance(lab, Sat) and isinstance(lab.body, A)
+    )
+    if ix.info is None:  # live views reset by a copy or a substitution
+        assert (ix.live, ix.npl, ix.seen) == ([], set(), 0)
+        return
+    # the live views describe the nodes present at the last blocking call
+    seen = labels[: ix.seen]
+    info = recompute_blocking(
+        seen,
+        branch.prec[: ix.seen],
+        [is_blockable(lab) for lab in seen],
+        {labels[0].nom} | nominals(labels[0].body),
+        [lab for lab in seen if isinstance(lab, Sat)],
+    )
+    assert (ix.info.direct, ix.info.phantom, ix.info.blocker) == (
+        info.direct, info.phantom, info.blocker)
+    live = [i for i, lab in enumerate(seen) if isinstance(lab, Sat) and not info.phantom[i]]
+    npl = {labels[i] for i in live}
+    assert ix.live == live
+    assert ix.npl == npl
+    assert ix.readings == [
+        (m,) + r for m in live if is_relational(labels[m]) for r in edge_readings(labels[m])
+    ]
+    eqs = [i for i in live if isinstance(labels[i].body, Nom) and labels[i].body.name != labels[i].nom]
+    assert ix.eq == (eqs[0] if eqs else None)
+    first_at = {}
+    for i in live:
+        for a in [labels[i].nom] + sorted(nominals(labels[i].body)):
+            first_at.setdefault(a, i)
+    assert list(ix.first_occurrences(labels).items()) == list(first_at.items())
+    # the cursors only pass nodes whose rule has nothing left to add
+    for i in live[: ix.concl]:
+        assert set(conclusions(labels[i])) <= npl or isinstance(labels[i].body, Or)
+    for _m, x, rel, y in ix.readings[: ix.link]:
+        assert all(edge_label(x, fwd(c.right), y) in npl for c in branch.incls if c.left == rel)
+    for i in live[: ix.split]:
+        if isinstance(labels[i].body, Or):
+            assert set(conclusions(labels[i])) & npl
+    for i in live[: ix.witness]:
+        assert not ix.blockable[i] or i in branch.expanded or ix.info.direct[i]
+
+
+def test_closure_keeps_the_first_clash():
+    b = Branch()
+    for lab in [Sat("a", Prop("p")), Sat("a", Prop("q")), Sat("b", Neg(Prop("p")))]:
+        b.add(lab, None, "init", ())
+    assert b.closure_witness() is None
+    b.add(Sat("a", Neg(Prop("q"))), None, "init", ())
+    b.add(Sat("a", Neg(Prop("p"))), None, "init", ())
+    assert b.closure_witness() == (1, 3)
+    b.add(Sat("a", Bot()), None, "init", ())
+    assert b.closure_witness() == (1, 3)
+    # a substitution rebuilds the tables: 'b: !p becomes 'a: !p
+    b.substitute("b", "a")
+    assert b.closure_witness() == ref_closure(b.labels) == (0, 2)
+
+
+def test_profile_change_recomputes_blocking():
+    b = Branch()
+    dia = Diamond(fwd("r"), Prop("p"))
+    for lab in [Sat("_0", Prop("t")), Sat("a", dia), Sat("b", dia)]:
+        b.add(lab, None, "init", ())
+    assert b.blocking().blocker == [None, None, 1]
+    # 'a: [r] q gives a and b different profiles, so b is no longer blocked
+    b.add(Sat("a", Box(fwd("r"), Prop("q"))), None, "init", ())
+    assert b.blocking().blocker == [None, None, None, None]
+    check_index(b)
+
+
+def test_index_matches_from_scratch_views(monkeypatch):
+    real_step = tableau.step
+    seen = {"steps": 0, "splits": 0, "substitutions": 0}
+
+    def checked(branch):
+        merges = len(branch.subst_log)
+        status, other = real_step(branch)
+        check_index(branch)
+        if status == "split":
+            check_index(other)
+            seen["splits"] += 1
+        seen["substitutions"] += len(branch.subst_log) - merges
+        seen["steps"] += 1
+        return status, other
+
+    monkeypatch.setattr(tableau, "step", checked)
+    for _pid, problem in corpus():
+        try:
+            prepared = preprocess(problem)
+        except FragmentError:
+            continue
+        solve(prepared, LIMITS)
+    assert seen["steps"] > 2000 and seen["splits"] > 200 and seen["substitutions"] > 200
