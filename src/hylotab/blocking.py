@@ -73,15 +73,15 @@ def maps_to(lab_m, lab_n, top_noms, profiles) -> bool:
 
 @dataclass
 class BlockInfo:
-    """Blocking of the first len(direct) nodes of a branch under fixed
-    nominal profiles and top nominals.  Node i depends only on the nodes
-    before it, so `extend` decides new nodes without revisiting old ones.
-    """
+    """Blocking of the first len(direct) nodes of a branch under the
+    current nominal profiles and top nominals (both are replaced, never
+    changed in place).  Node i depends only on the nodes before it, so
+    `extend` decides new nodes without revisiting old ones."""
 
     direct: list      # node id -> directly blocked?
     phantom: list     # node id -> phantom (indirectly blocked)?
     blocker: list     # node id -> blocking node id, or None
-    profiles: dict    # nominal -> profile, as of the last recomputation
+    profiles: dict    # nominal -> profile
     top_noms: set
     groups: dict      # skeleton -> unblocked blockable nodes, in node order
 
@@ -109,8 +109,11 @@ class BlockInfo:
                 group.append(i)
 
 
-def recompute_blocking(labels, prec, blockable, top_noms, sat_labels) -> BlockInfo:
-    """Blocking of all nodes: `BlockInfo.extend` from the empty state."""
-    info = BlockInfo([], [], [], nominal_profiles(sat_labels), top_noms, {})
+def recompute_blocking(labels, prec, blockable, top_noms, sat_labels, start=None) -> BlockInfo:
+    """Blocking of all nodes: `BlockInfo.extend` from the empty state, or
+    from `start`, a private copy of the blocking of a prefix of the nodes
+    under the current profiles and top nominals.
+    """
+    info = start or BlockInfo([], [], [], nominal_profiles(sat_labels), top_noms, {})
     info.extend(labels, prec, blockable)
     return info

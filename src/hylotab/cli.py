@@ -46,21 +46,13 @@ def _read_problem(path: str) -> Problem:
         return parse(fh.read())
 
 
-def _limits(args) -> Limits:
-    return Limits(
-        max_nodes=args.max_nodes,
-        max_branches=args.max_branches,
-        timeout=args.timeout,
-    )
-
-
 def _solved(args):
     """Read, preprocess and solve the problem file.  A limit or unsat
     result prints its verdict line and gives its exit code; a sat result
     gives None, and the caller reports it.
     """
     prepared = preprocess(_read_problem(args.file))
-    result = solve(prepared, _limits(args))
+    result = solve(prepared, Limits(args.max_nodes, args.max_branches, args.timeout))
     code = {"limit": EXIT_LIMIT, "unsat": EXIT_UNSAT}.get(result.verdict)
     if code is not None:
         print("RESULT: %s" % result.verdict.upper())

@@ -227,22 +227,17 @@ def random_fragment_problem(
         if universal_ok:
             ops += ["box", "a"]
         op = rng.choice(ops)
-        if op == "and":
-            return And(build(d - 1, bound, universal_ok), build(d - 1, bound, universal_ok))
-        if op == "or":
-            return Or(build(d - 1, bound, universal_ok), build(d - 1, bound, universal_ok))
-        if op == "dia":
-            return Diamond(rel(), build(d - 1, bound, universal_ok))
-        if op == "box":
-            return Box(rel(), build(d - 1, bound, universal_ok))
-        if op == "at":
-            return At(Nom(rng.choice(noms)), build(d - 1, bound, universal_ok))
         if op == "down":
             x = "x%d" % len(bound)
             return Down(x, build(d - 1, bound | {x}, False))
-        if op == "e":
-            return E(build(d - 1, bound, universal_ok))
-        return A(build(d - 1, bound, universal_ok))
+        sub = functools.partial(build, d - 1, bound, universal_ok)
+        if op in ("and", "or"):
+            return (And if op == "and" else Or)(sub(), sub())
+        if op in ("dia", "box"):
+            return (Diamond if op == "dia" else Box)(rel(), sub())
+        if op == "at":
+            return At(Nom(rng.choice(noms)), sub())
+        return (E if op == "e" else A)(sub())
 
     f = build(depth, frozenset(), True)
     assertions = []

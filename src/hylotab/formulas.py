@@ -251,15 +251,18 @@ def subst_var(f: Formula, x: str, a: str) -> Formula:
 
 def subst_nom(f: Formula, a: str, b: str) -> Formula:
     """Replace every occurrence of nominal a with b; subtrees without a
-    are kept, not rebuilt.
-    """
-    if a not in nominals(f):
+    are kept, not rebuilt, and rebuilt nodes get their nominals set."""
+    noms = nominals(f)
+    if a not in noms:
         return f
     if isinstance(f, Nom):
         return Nom(b)
     if isinstance(f, At):
-        return At(subst_nom(f.at, a, b), subst_nom(f.sub, a, b))
-    return _rebuild(f, [subst_nom(g, a, b) for g in children(f)])
+        out = At(subst_nom(f.at, a, b), subst_nom(f.sub, a, b))
+    else:
+        out = _rebuild(f, [subst_nom(g, a, b) for g in children(f)])
+    object.__setattr__(out, "_noms", noms - {a} | {b})
+    return out
 
 
 def _rebuild(f: Formula, subs: list, op: type | None = None) -> Formula:

@@ -175,13 +175,10 @@ class _Parser:
     # -- formulas -----------------------------------------------------------
 
     def formula(self, bound):
-        return self.or_level(bound)
-
-    def or_level(self, bound):
         left = self.and_level(bound)
         if self.peek()[1] == "|":
             self.next()
-            return Or(left, self.or_level(bound))
+            return Or(left, self.formula(bound))
         return left
 
     def and_level(self, bound):
@@ -196,26 +193,18 @@ class _Parser:
         if val == "!":
             self.next()
             return Neg(self.prefix(bound))
-        if val == "<":
+        if val in ("<", "["):
+            # <r>, <r>^n and <E>, or [r], [r]^n and [A]
+            close, glob, glob_op, op = (">", "E", E, Diamond) if val == "<" else ("]", "A", A, Box)
             self.next()
             sym = self.ident("relation symbol")
-            if sym == "E":
-                self.expect(">")
-                return E(self.prefix(bound))
+            if sym == glob:
+                self.expect(close)
+                return glob_op(self.prefix(bound))
             rel = self.relation(sym)
-            self.expect(">")
+            self.expect(close)
             grade = self.maybe_grade()
-            return Diamond(rel, self.prefix(bound), grade)
-        if val == "[":
-            self.next()
-            sym = self.ident("relation symbol")
-            if sym == "A":
-                self.expect("]")
-                return A(self.prefix(bound))
-            rel = self.relation(sym)
-            self.expect("]")
-            grade = self.maybe_grade()
-            return Box(rel, self.prefix(bound), grade)
+            return op(rel, self.prefix(bound), grade)
         if val == "@":
             self.next()
             kind2, val2, line2, col2 = self.peek()
@@ -316,12 +305,9 @@ def _pf(f, level):
         return "(%s)" % s if level > _AND else s
     if isinstance(f, Neg):
         return "!" + _pf(f.sub, _PREFIX)
-    if isinstance(f, Diamond):
-        g = "^%d" % f.grade if f.grade is not None else ""
-        return "<%s>%s %s" % (f.rel, g, _pf(f.sub, _PREFIX))
-    if isinstance(f, Box):
-        g = "^%d" % f.grade if f.grade is not None else ""
-        return "[%s]%s %s" % (f.rel, g, _pf(f.sub, _PREFIX))
+    if isinstance(f, (Diamond, Box)):
+        fmt = "<%s>%s %s" if isinstance(f, Diamond) else "[%s]%s %s"
+        return fmt % (f.rel, "" if f.grade is None else "^%d" % f.grade, _pf(f.sub, _PREFIX))
     if isinstance(f, E):
         return "<E> " + _pf(f.sub, _PREFIX)
     if isinstance(f, A):

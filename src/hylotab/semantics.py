@@ -345,11 +345,8 @@ def saturation_violations(branch, blocking) -> list:
     labels = branch.labels
     n = len(labels)
     nonph = [not blocking.phantom[i] for i in range(n)]
-    nonph_noms: set = set()
-    for i in range(n):
-        if nonph[i] and isinstance(labels[i], Sat):
-            nonph_noms.add(labels[i].nom)
-            nonph_noms |= nominals(labels[i].body)
+    nonph_noms = {x for i in range(n) if nonph[i] and isinstance(labels[i], Sat)
+                  for x in (labels[i].nom, *nominals(labels[i].body))}
 
     core = [
         i for i, lab in enumerate(labels)
@@ -358,11 +355,8 @@ def saturation_violations(branch, blocking) -> list:
         )
     ]
     present = {labels[i] for i in core}
-    noms: set = set()
-    for i in core:
-        if isinstance(labels[i], Sat):
-            noms.add(labels[i].nom)
-            noms |= nominals(labels[i].body)
+    noms = {x for i in core if isinstance(labels[i], Sat)
+            for x in (labels[i].nom, *nominals(labels[i].body))}
 
     edges = {e for i in core if is_relational(labels[i]) for e in edge_readings(labels[i])}
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 # The benchmark's tracer (perfbench/tracing.py) patches recompute_blocking,
 # nominals and subst_var in this module by name; call them as module globals.
-from .blocking import BlockInfo, recompute_blocking
+from .blocking import BlockInfo, nominal_profiles, recompute_blocking
 from .formulas import (
     A,
     And,
@@ -44,6 +44,7 @@ from .formulas import (
     nnf,
     node,
     nominals,
+    shape,
     subst_nom,
     subst_var,
 )
@@ -129,27 +130,43 @@ def format_label(lab) -> str:
     return str(lab)
 
 
+def _literal(f):
+    """(prop, positive?) of a body p or !p; None for other bodies."""
+    positive = isinstance(f, Prop)
+    if positive or (isinstance(f, Neg) and isinstance(f.sub, Prop)):
+        return (f if positive else f.sub).name, positive
+
+
+def _self_clash(lab) -> bool:
+    return isinstance(lab.body, Bot) or (isinstance(lab.body, Neg) and lab.body.sub == Nom(lab.nom))
+
+
+def _is_eq(lab) -> bool:
+    return isinstance(lab.body, Nom) and lab.body.name != lab.nom
+
+
 class Index:
     """The views of a branch that `step` reads, kept up to date instead of
     rebuilt on every step.  The label views depend on the labels alone:
-    `add` extends them and `Branch.substitute` rebuilds them.  The live
-    views depend on blocking too: `Branch.blocking` extends them, or
-    starts them from empty after a copy, a substitution or an added Prop
-    or Box label (which may change the nominal profiles).
+    `add` extends them and `rename` patches them after a substitution.
+    The live views depend on blocking too: `Branch.blocking` extends them.
+    A substitution or a new Prop or Box label keeps them unless a blocking
+    decision may change (`keeps`); a split copy takes a copy of them.
     """
 
     def __init__(self):
         self.clash = None          # first contradictory pair
         self.lits: dict = {}       # (nominal, prop, positive?) -> first node
         self.blockable: list = []
-        self.profile_adds = 0      # Prop and Box labels added
+        self.classes: dict = {}    # skeleton -> blockable node ids, phantoms included
         self.boxes: dict = {}      # nominal -> Box node ids, phantoms included
         self.a_nodes: tuple = ()   # A node ids, phantoms included
         self.reset_live(None)
 
     def reset_live(self, info) -> None:
         self.info = info           # BlockInfo of the first `seen` nodes
-        self.info_adds = self.profile_adds  # Prop and Box labels it has seen
+        self.copied = False        # info is a split copy's snapshot
+        self.stale = False         # info's profiles and `npl` are out of date
         self.live: list = []       # non-phantom Sat node ids
         self.npl: set = set()      # their labels
         self.readings: list = []   # (m, x, rel, y) of live relational nodes
@@ -158,37 +175,88 @@ class Index:
         # `seen` and `first` count the nodes taken into `live` and
         # `first_at`.  Before the rule cursors `concl`, `link`, `split` and
         # `witness`, live nodes (readings, for Link) have nothing left to
-        # add; that holds until the next reset, as `npl` only grows.
+        # add, as `npl` only grows and renaming commutes with those rules.
         self.seen = self.concl = self.link = self.split = self.witness = self.first = 0
 
     def copy(self) -> "Index":
+        """A split copy's index, with its own views, cursors and BlockInfo
+        (whose profiles and top nominals are replaced, never changed)."""
         c = copy.copy(self)
-        c.lits, c.blockable, c.boxes = dict(self.lits), list(self.blockable), dict(self.boxes)
-        c.reset_live(None)
+        c.lits, c.blockable, c.boxes, c.classes = (
+            dict(self.lits), list(self.blockable), dict(self.boxes), dict(self.classes))
+        c.live, c.npl, c.readings, c.first_at = (
+            list(self.live), set(self.npl), list(self.readings), dict(self.first_at))
+        if self.info is not None:
+            c.copied, i = True, self.info
+            c.info = BlockInfo(i.direct[:], i.phantom[:], i.blocker[:], i.profiles, i.top_noms,
+                               {k: v[:] for k, v in i.groups.items()})
         return c
 
-    def add(self, i: int, lab) -> None:
+    def add(self, labels, i) -> None:
+        lab = labels[i]
         self.blockable.append(is_blockable(lab))
+        if self.blockable[i]:
+            skeleton = shape(lab.body)[0]
+            self.classes[skeleton] = self.classes.get(skeleton, ()) + (i,)
         if not isinstance(lab, Sat):
             return
-        f = lab.body
-        if isinstance(f, Bot) or (
-            isinstance(f, Neg) and isinstance(f.sub, Nom) and f.sub.name == lab.nom
-        ):
+        f, lit = lab.body, _literal(lab.body)
+        if _self_clash(lab):
             self.clash = self.clash or (i, i)
-        positive = isinstance(f, Prop)
-        if positive or (isinstance(f, Neg) and isinstance(f.sub, Prop)):
-            key = (lab.nom, (f if positive else f.sub).name)
-            j = self.lits.get(key + (not positive,))
+        elif lit is not None:
+            j = self.lits.get((lab.nom, lit[0], not lit[1]))
             if j is not None and self.clash is None:
-                self.clash = (i, j) if positive else (j, i)
-            self.lits.setdefault(key + (positive,), i)
+                self.clash = (i, j) if lit[1] else (j, i)
+            self.lits.setdefault((lab.nom,) + lit, i)
         if isinstance(f, (Prop, Box)):
-            self.profile_adds += 1
+            self.keeps(labels, {lab.nom})
         if isinstance(f, Box):
             self.boxes[lab.nom] = self.boxes.get(lab.nom, ()) + (i,)
         elif isinstance(f, A):
             self.a_nodes += (i,)
+
+    def keeps(self, labels, noms) -> bool:
+        """Keep the live views when the profiles or top status of `noms`
+        change?  Blocks are decided by `maps_to` between blockable nodes of
+        one skeleton; if two such nodes exist and one mentions `noms`, reset."""
+        if self.info is None or any(len(ids) > 1 and any(
+                labels[i].nom in noms or not noms.isdisjoint(nominals(labels[i].body))
+                for i in ids) for ids in self.classes.values()):
+            self.reset_live(None)
+            return False
+        self.stale = True
+        return True
+
+    def rename(self, labels, renamed, a, b) -> None:
+        """Patch the views after `Branch.substitute` renamed a to b in the
+        labels of the nodes `renamed`: a's literal and Box entries move to b,
+        and the clash may move to b's literal pairs or a renamed label."""
+        lits, props, owners = self.lits, set(), {a, b}
+        closers = [self.clash] if self.clash else []
+        for i in renamed:
+            lab, lit = labels[i], _literal(labels[i].body)
+            if _self_clash(lab):
+                closers.append((i, i))
+            elif lit is not None:
+                j = lits.pop((a,) + lit, None)
+                if j is not None:
+                    lits[(b,) + lit] = min(j, lits.get((b,) + lit, j))
+                    props.add(lit[0])
+            elif isinstance(lab.body, Box):
+                owners.add(lab.nom)  # its profile changes
+        closers += [(lits[(b, p, True)], lits[(b, p, False)]) for p in props
+                    if (b, p, True) in lits and (b, p, False) in lits]
+        # at a tie (one closing node), b's merged pair has the earlier nodes
+        self.clash = min(closers, key=lambda pair: (max(pair), pair), default=None)
+        if a in self.boxes:
+            self.boxes[b] = tuple(sorted(self.boxes.pop(a) + self.boxes.get(b, ())))
+        if self.keeps(labels, owners):
+            if a in self.info.top_noms:
+                self.info.top_noms = self.info.top_noms - {a} | {b}
+            self.readings = [
+                (m, b if x == a else x, r, b if y == a else y) for m, x, r, y in self.readings]
+            self.eq = next((i for i in self.live if _is_eq(labels[i])), None)
+            self.first_at, self.first = {}, 0
 
     def add_live(self, labels) -> None:
         """Append the non-phantom Sat nodes added since the last call."""
@@ -199,7 +267,7 @@ class Index:
                 self.npl.add(lab)
                 if is_relational(lab):
                     self.readings.extend((i,) + r for r in edge_readings(lab))
-                elif self.eq is None and isinstance(lab.body, Nom) and lab.body.name != lab.nom:
+                elif self.eq is None and _is_eq(lab):
                     self.eq = i
         self.seen = len(labels)
 
@@ -235,11 +303,8 @@ class Branch:
 
     def copy(self) -> "Branch":
         c = copy.copy(self)
-        c.labels = list(self.labels)
-        c.prec = list(self.prec)
-        c.prov = list(self.prov)
-        c.expanded = set(self.expanded)
-        c.subst_log = list(self.subst_log)
+        c.labels, c.prec, c.prov = list(self.labels), list(self.prec), list(self.prov)
+        c.expanded, c.subst_log = set(self.expanded), list(self.subst_log)
         c.index = self.index.copy()
         return c
 
@@ -248,7 +313,7 @@ class Branch:
         self.labels.append(lab)
         self.prec.append(parent)
         self.prov.append((rule, tuple(premises)))
-        self.index.add(i, lab)
+        self.index.add(self.labels, i)
         return i
 
     def fresh_nominal(self) -> str:
@@ -269,32 +334,36 @@ class Branch:
         return Incl(left.inv(), right.sym) in self.incls
 
     def substitute(self, a: str, b: str) -> None:
-        """Replace nominal a by b in every node label; labels without a
-        stay the same objects.  The index is rebuilt.
+        """Replace nominal a by b in the labels that hold it, and patch the
+        index over them; the other labels stay the same objects.
         """
-        out = []
-        for lab in self.labels:
+        labels, renamed = self.labels, []
+        for i, lab in enumerate(labels):
             if isinstance(lab, Sat):
                 body = subst_nom(lab.body, a, b)
                 if body is not lab.body or lab.nom == a:
-                    lab = Sat(b if lab.nom == a else lab.nom, body)
-            out.append(lab)
-        self.labels = out
+                    labels[i] = Sat(b if lab.nom == a else lab.nom, body)
+                    renamed.append(i)
         self.subst_log.append((a, b))
-        self.index = Index()
-        for i, lab in enumerate(out):
-            self.index.add(i, lab)
+        self.index.rename(labels, renamed, a, b)
 
     def blocking(self) -> BlockInfo:
         """The BlockInfo of the current labels: the last one extended over
-        the new nodes, or recomputed once the index's live views were reset
-        or the profiles may have changed.  The live views follow it.
+        the new nodes, or recomputed once the live views were reset.  A
+        split copy's snapshot is extended by `recompute_blocking` too: the
+        benchmark's tracer reads the blocked-node counts from the last
+        BlockInfo that function returned.  The live views follow.
         """
         ix, labels = self.index, self.labels
-        if ix.info is None or ix.info_adds != ix.profile_adds:
+        if ix.stale:  # after a merge or a Prop or Box label that kept the live views
+            ix.info.profiles = nominal_profiles([lab for lab in labels if isinstance(lab, Sat)])
+            ix.npl, ix.stale = {labels[i] for i in ix.live}, False
+        if ix.info is None:
             sat_labels = [lab for lab in labels if isinstance(lab, Sat)]
-            ix.reset_live(recompute_blocking(
-                labels, self.prec, ix.blockable, self.top_noms, sat_labels))
+            ix.reset_live(recompute_blocking(labels, self.prec, ix.blockable, self.top_noms, sat_labels))
+        elif ix.copied:
+            recompute_blocking(labels, self.prec, ix.blockable, None, None, ix.info)
+            ix.copied = False
         else:
             ix.info.extend(labels, self.prec, ix.blockable)
         ix.add_live(labels)

@@ -309,6 +309,14 @@ def test_subst_nom_shares_untouched_subtrees():
     assert g.left is left
 
 
+def test_subst_nom_sets_the_nominals_of_rebuilt_nodes():
+    rng = random.Random(7)
+    for _ in range(200):
+        g = subst_nom(subst_nom(random_formula(rng, 4), "a", "b"), "b", "c")
+        for h in walk(g):
+            assert nominals(h) == {n.name for n in walk(h) if isinstance(n, Nom)}
+
+
 def test_branch_substitute_keeps_untouched_labels():
     b = Branch()
     b.add(Sat("a", Diamond(fwd("r"), Nom("c"))), None, "init", ())

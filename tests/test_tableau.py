@@ -2,7 +2,7 @@ import pytest
 
 from hylotab import tableau
 from hylotab.blocking import recompute_blocking
-from hylotab.formulas import A, Bot, Box, Diamond, Incl, Neg, Nom, Or, Prop, Trans, bwd, fwd, nominals
+from hylotab.formulas import A, Bot, Box, Diamond, Incl, Neg, Nom, Or, Prop, Trans, bwd, fwd, nominals, shape
 from hylotab.fragments import FragmentError
 from hylotab.parser import parse
 from hylotab.preprocess import preprocess
@@ -199,33 +199,40 @@ def ref_closure(labels):
     return None
 
 
+def scratch_blocking(labels, prec):
+    """The BlockInfo of all nodes, computed from empty."""
+    return recompute_blocking(
+        labels,
+        prec,
+        [is_blockable(lab) for lab in labels],
+        {labels[0].nom} | nominals(labels[0].body),
+        [lab for lab in labels if isinstance(lab, Sat)],
+    )
+
+
 def check_index(branch):
+    """Compare the index with from-scratch views; call `branch.blocking()`
+    first, so that the live views cover every node.
+    """
     labels, ix = branch.labels, branch.index
     assert branch.closure_witness() == ref_closure(labels)
     assert ix.blockable == [is_blockable(lab) for lab in labels]
-    boxes = {}
+    boxes, classes = {}, {}
     for i, lab in enumerate(labels):
         if isinstance(lab, Sat) and isinstance(lab.body, Box):
             boxes.setdefault(lab.nom, []).append(i)
+        if is_blockable(lab):
+            classes.setdefault(shape(lab.body)[0], []).append(i)
     assert ix.boxes == {a: tuple(ids) for a, ids in boxes.items()}
+    assert ix.classes == {k: tuple(ids) for k, ids in classes.items()}
     assert ix.a_nodes == tuple(
         i for i, lab in enumerate(labels) if isinstance(lab, Sat) and isinstance(lab.body, A)
     )
-    if ix.info is None:  # live views reset by a copy or a substitution
-        assert (ix.live, ix.npl, ix.seen) == ([], set(), 0)
-        return
-    # the live views describe the nodes present at the last blocking call
-    seen = labels[: ix.seen]
-    info = recompute_blocking(
-        seen,
-        branch.prec[: ix.seen],
-        [is_blockable(lab) for lab in seen],
-        {labels[0].nom} | nominals(labels[0].body),
-        [lab for lab in seen if isinstance(lab, Sat)],
-    )
-    assert (ix.info.direct, ix.info.phantom, ix.info.blocker) == (
-        info.direct, info.phantom, info.blocker)
-    live = [i for i, lab in enumerate(seen) if isinstance(lab, Sat) and not info.phantom[i]]
+    assert ix.seen == len(labels) and not ix.copied
+    # decisions, profiles of all labels, top nominals and skeleton groups
+    info = scratch_blocking(labels, branch.prec)
+    assert ix.info == info
+    live = [i for i, lab in enumerate(labels) if isinstance(lab, Sat) and not info.phantom[i]]
     npl = {labels[i] for i in live}
     assert ix.live == live
     assert ix.npl == npl
@@ -261,9 +268,32 @@ def test_closure_keeps_the_first_clash():
     assert b.closure_witness() == (1, 3)
     b.add(Sat("a", Bot()), None, "init", ())
     assert b.closure_witness() == (1, 3)
-    # a substitution rebuilds the tables: 'b: !p becomes 'a: !p
+    # a substitution patches the tables: 'b: !p becomes 'a: !p
     b.substitute("b", "a")
     assert b.closure_witness() == ref_closure(b.labels) == (0, 2)
+
+
+def test_substitution_moves_the_clash_to_the_first_literal():
+    b = Branch()
+    for lab in [Sat("a", Prop("p")), Sat("b", Prop("p")), Sat("b", Neg(Prop("p")))]:
+        b.add(lab, None, "init", ())
+    assert b.closure_witness() == (1, 2)
+    # after a -> b, node 2 still closes the branch, now against node 0
+    b.substitute("a", "b")
+    assert b.closure_witness() == ref_closure(b.labels) == (0, 2)
+    # a's literal moves to b without displacing b's earlier first node
+    b = Branch()
+    for lab in [Sat("b", Prop("p")), Sat("a", Prop("p"))]:
+        b.add(lab, None, "init", ())
+    b.substitute("a", "b")
+    b.add(Sat("b", Neg(Prop("p"))), None, "init", ())
+    assert b.closure_witness() == ref_closure(b.labels) == (0, 2)
+    # 'c: !'d becomes 'c: !'c, which closes the branch alone
+    b = Branch()
+    for lab in [Sat("c", Prop("p")), Sat("d", Neg(Prop("q"))), Sat("c", Neg(Nom("d")))]:
+        b.add(lab, None, "init", ())
+    b.substitute("d", "c")
+    assert b.closure_witness() == ref_closure(b.labels) == (2, 2)
 
 
 def test_profile_change_recomputes_blocking():
@@ -276,20 +306,107 @@ def test_profile_change_recomputes_blocking():
     b.add(Sat("a", Box(fwd("r"), Prop("q"))), None, "init", ())
     assert b.blocking().blocker == [None, None, None, None]
     check_index(b)
+    # 'b: [r] q makes them equal again, so b is blocked again
+    b.add(Sat("b", Box(fwd("r"), Prop("q"))), None, "init", ())
+    assert b.blocking().blocker == [None, None, 1, None, None]
+    check_index(b)
+
+
+def test_events_away_from_blocking_keep_the_blockinfo():
+    b = Branch()
+    dia = Diamond(fwd("r"), Prop("p"))
+    for lab in [Sat("_0", Prop("t")), Sat("a", dia), Sat("c", dia), Sat("d", Prop("q")),
+                Sat("e", Prop("s")), Sat("f", Diamond(fwd("r"), Prop("q")))]:
+        b.add(lab, None, "init", ())
+    info = b.blocking()
+    decisions = (list(info.direct), list(info.phantom), list(info.blocker))
+    assert info.blocker[2] == 1
+    # a merge and Prop labels on nominals that no two nodes of one
+    # skeleton mention: 'f: <r> q is alone in its skeleton class
+    b.substitute("e", "d")
+    b.add(Sat("d", Prop("u")), None, "init", ())
+    b.add(Sat("f", Prop("u")), None, "init", ())
+    assert b.blocking() is info
+    assert (info.direct[:6], info.phantom[:6], info.blocker[:6]) == decisions
+    assert info.profiles["d"] == (frozenset({"q", "s", "u"}), frozenset())
+    check_index(b)
+
+
+@pytest.mark.parametrize(
+    "extra,merge",
+    [
+        # after a -> d, the profile of d (was a) equals that of c
+        ([Sat("c", Prop("q")), Sat("d", Prop("q"))], ("a", "d")),
+        # after x -> y, the Box labels of a and c agree; neither a nor c
+        # is merged, so the owners of renamed Box labels must count
+        ([Sat("a", Box(fwd("r"), Nom("x"))), Sat("c", Box(fwd("r"), Nom("y")))], ("x", "y")),
+    ],
+)
+def test_merge_that_equalizes_profiles_blocks_as_from_scratch(extra, merge):
+    b = Branch()
+    dia = Diamond(fwd("r"), Prop("p"))
+    for lab in [Sat("_0", Prop("t")), Sat("a", dia), Sat("c", dia)] + extra:
+        b.add(lab, None, "init", ())
+    assert not any(b.blocking().direct)  # a and c have different profiles
+    b.substitute(*merge)
+    after = b.blocking()
+    assert after.direct == [False, False, True, False, False]
+    assert after == scratch_blocking(b.labels, b.prec)
+    check_index(b)
+
+
+def test_every_blockinfo_comes_from_recompute_blocking(monkeypatch):
+    """The benchmark's tracer reads the blocked-node counts from the last
+    BlockInfo that `tableau.recompute_blocking` returned; every BlockInfo a
+    branch uses must be such an object, changed in place since.
+    """
+    real_recompute, real_blocking = tableau.recompute_blocking, Branch.blocking
+    made, last = {}, []  # id -> returned object, kept alive; the last one
+    sat = checks = 0
+
+    def recording(*args):
+        info = real_recompute(*args)
+        made[id(info)] = info
+        last[:] = [info]
+        return info
+
+    def checked(branch):
+        nonlocal checks
+        info = real_blocking(branch)
+        assert made.get(id(info)) is info
+        checks += 1
+        return info
+
+    monkeypatch.setattr(tableau, "recompute_blocking", recording)
+    monkeypatch.setattr(Branch, "blocking", checked)
+    for _pid, problem in corpus():
+        try:
+            prepared = preprocess(problem)
+        except FragmentError:
+            continue
+        res = solve(prepared, LIMITS)
+        if res.is_sat:
+            assert res.blocking is last[0]
+            sat += 1
+    assert sat > 200 and checks > 1500
 
 
 def test_index_matches_from_scratch_views(monkeypatch):
     real_step = tableau.step
-    seen = {"steps": 0, "splits": 0, "substitutions": 0}
+    seen = {"steps": 0, "kept merges": 0, "reset merges": 0, "kept splits": 0}
 
     def checked(branch):
         merges = len(branch.subst_log)
         status, other = real_step(branch)
+        if len(branch.subst_log) > merges:
+            seen["kept merges" if branch.index.info else "reset merges"] += 1
+        # the next step's blocking() then extends over nothing
+        branch.blocking()
         check_index(branch)
         if status == "split":
+            seen["kept splits"] += other.index.copied
+            other.blocking()
             check_index(other)
-            seen["splits"] += 1
-        seen["substitutions"] += len(branch.subst_log) - merges
         seen["steps"] += 1
         return status, other
 
@@ -300,4 +417,5 @@ def test_index_matches_from_scratch_views(monkeypatch):
         except FragmentError:
             continue
         solve(prepared, LIMITS)
-    assert seen["steps"] > 2000 and seen["splits"] > 200 and seen["substitutions"] > 200
+    assert seen["steps"] > 2000 and seen["kept merges"] > 200 and seen["kept splits"] > 200
+    assert seen["reset merges"] > 0
