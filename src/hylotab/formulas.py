@@ -249,19 +249,26 @@ def subst_var(f: Formula, x: str, a: str) -> Formula:
     return _rebuild(f, [subst_var(g, x, a) for g in children(f)])
 
 
-def subst_nom(f: Formula, a: str, b: str) -> Formula:
+def subst_nom(f: Formula, a: str, b: str, memo: dict | None = None) -> Formula:
     """Replace every occurrence of nominal a with b; subtrees without a
-    are kept, not rebuilt, and rebuilt nodes get their nominals set."""
+    are kept, not rebuilt, and rebuilt nodes get their nominals set.
+    `memo` maps subterms (and results, to themselves) for this one (a, b):
+    calls that share it rebuild each distinct subterm once, and equal
+    results are one object."""
     noms = nominals(f)
     if a not in noms:
         return f
-    if isinstance(f, Nom):
-        return Nom(b)
-    if isinstance(f, At):
-        out = At(subst_nom(f.at, a, b), subst_nom(f.sub, a, b))
-    else:
-        out = _rebuild(f, [subst_nom(g, a, b) for g in children(f)])
-    object.__setattr__(out, "_noms", noms - {a} | {b})
+    memo = {} if memo is None else memo
+    out = memo.get(f)
+    if out is None:
+        if isinstance(f, Nom):
+            out = Nom(b)
+        elif isinstance(f, At):
+            out = At(subst_nom(f.at, a, b, memo), subst_nom(f.sub, a, b, memo))
+        else:
+            out = _rebuild(f, [subst_nom(g, a, b, memo) for g in children(f)])
+        object.__setattr__(out, "_noms", noms - {a} | {b})
+        memo[f] = out = memo.setdefault(out, out)
     return out
 
 

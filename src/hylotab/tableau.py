@@ -172,6 +172,10 @@ class Index:
         self.readings: list = []   # (m, x, rel, y) of live relational nodes
         self.eq = None             # first live node 'a: 'b with a != b
         self.first_at: dict = {}   # nominal -> first live node it occurs in
+        # box, A and Trans instances whose conclusion is in `npl`: ("box" or
+        # "Trans", reading position, Box node) and ("A", A node, nominal).
+        # They stay concluded until a reset, as for the cursors below.
+        self.done: set = set()
         # `seen` and `first` count the nodes taken into `live` and
         # `first_at`.  Before the rule cursors `concl`, `link`, `split` and
         # `witness`, live nodes (readings, for Link) have nothing left to
@@ -184,8 +188,8 @@ class Index:
         c = copy.copy(self)
         c.lits, c.blockable, c.boxes, c.classes = (
             dict(self.lits), list(self.blockable), dict(self.boxes), dict(self.classes))
-        c.live, c.npl, c.readings, c.first_at = (
-            list(self.live), set(self.npl), list(self.readings), dict(self.first_at))
+        c.live, c.npl, c.readings, c.first_at, c.done = (
+            list(self.live), set(self.npl), list(self.readings), dict(self.first_at), set(self.done))
         if self.info is not None:
             c.copied, i = True, self.info
             c.info = BlockInfo(i.direct[:], i.phantom[:], i.blocker[:], i.profiles, i.top_noms,
@@ -335,12 +339,13 @@ class Branch:
 
     def substitute(self, a: str, b: str) -> None:
         """Replace nominal a by b in the labels that hold it, and patch the
-        index over them; the other labels stay the same objects.
+        index over them; the other labels stay the same objects.  One memo
+        serves the whole merge, so each distinct subterm is rebuilt once.
         """
-        labels, renamed = self.labels, []
+        labels, renamed, memo = self.labels, [], {}
         for i, lab in enumerate(labels):
             if isinstance(lab, Sat):
-                body = subst_nom(lab.body, a, b)
+                body = subst_nom(lab.body, a, b, memo)
                 if body is not lab.body or lab.nom == a:
                     labels[i] = Sat(b if lab.nom == a else lab.nom, body)
                     renamed.append(i)
@@ -463,12 +468,14 @@ def step(branch: Branch):
         branch.substitute(lab.nom, lab.body.name)
         return ("applied", None)
 
-    for concl, k, rule, premises in _extensions(branch):
+    for concl, k, rule, premises, key in _extensions(branch):
         missing = [c for c in concl if c not in npl]
         if missing:
             for c in missing:
                 branch.add(c, branch.prec[k], rule, premises)
             return ("applied", None)
+        if key is not None:
+            ix.done.add(key)
 
     # disjunction: split
     for p in range(ix.split, len(live)):
@@ -508,21 +515,22 @@ def step(branch: Branch):
 def _extensions(branch: Branch):
     """The instances of the non-branching, non-witness rules, lazily and
     in priority order: and/at/down, Link, box, A, Trans.  Each is
-    (conclusions, k, rule, premises); `step` adds the conclusions not yet
-    on the branch as offspring of `branch.prec[k]`.  Premises are live
-    nodes, except the major premise of box, A and Trans (the Box or A
-    node), which may be a phantom.  The and/at/down and Link instances
-    start at their index cursors.
+    (conclusions, k, rule, premises, key); `step` adds the conclusions not
+    yet on the branch as offspring of `branch.prec[k]`, or else marks the
+    key done.  Premises are live nodes, except the major premise of box, A
+    and Trans (the Box or A node), which may be a phantom.  The and/at/down
+    and Link instances start at their index cursors (key None); box, A and
+    Trans instances marked done are skipped.
     """
     ix = branch.index
     labels = branch.labels
-    live, readings = ix.live, ix.readings
+    live, readings, done = ix.live, ix.readings, ix.done
     for p in range(ix.concl, len(live)):
         ix.concl = p
         i = live[p]
         rule = _RULE.get(type(labels[i].body))
         if rule is not None:
-            yield conclusions(labels[i]), i, rule, (i,)
+            yield conclusions(labels[i]), i, rule, (i,), None
     ix.concl = len(live)
 
     # containment propagation along edges
@@ -531,16 +539,16 @@ def _extensions(branch: Branch):
         m, x, rel, y = readings[p]
         for inc, k in branch.incls.items():
             if inc.left == rel:
-                yield (edge_label(x, fwd(inc.right), y),), m, "Link", (m, k)
+                yield (edge_label(x, fwd(inc.right), y),), m, "Link", (m, k), None
     ix.link = len(readings)
 
     # box along matching edges
     boxes = ix.boxes
-    for m, x, rel, y in readings:
+    for p, (m, x, rel, y) in enumerate(readings):
         for j in boxes.get(x, ()):
             g = labels[j].body
-            if g.rel == rel:
-                yield (Sat(y, g.sub),), m, "box", (j, m)
+            if g.rel == rel and ("box", p, j) not in done:
+                yield (Sat(y, g.sub),), m, "box", (j, m), ("box", p, j)
 
     # global box: focus on each nominal of a live node in turn, minor
     # premise the first live node it occurs in
@@ -548,16 +556,18 @@ def _extensions(branch: Branch):
         first_at = ix.first_occurrences(labels)
         for j in ix.a_nodes:
             for nom, k in first_at.items():
-                yield (Sat(nom, labels[j].body.sub),), k, "A", (j, k)
+                if ("A", j, nom) not in done:
+                    yield (Sat(nom, labels[j].body.sub),), k, "A", (j, k), ("A", j, nom)
 
     # transitivity propagation: push boxes along edges of transitive
     # subrelations
-    for m, x, rel, y in readings:
+    for p, (m, x, rel, y) in enumerate(readings):
         if rel.sym in branch.trans:
             for j in boxes.get(x, ()):
                 g = labels[j].body
-                if branch.has_incl(rel, g.rel):
-                    yield (Sat(y, Box(rel, g.sub)),), m, "Trans", (j, m, branch.trans[rel.sym])
+                if ("Trans", p, j) not in done and branch.has_incl(rel, g.rel):
+                    yield ((Sat(y, Box(rel, g.sub)),), m, "Trans",
+                           (j, m, branch.trans[rel.sym]), ("Trans", p, j))
 
 
 # ---------------------------------------------------------------------------

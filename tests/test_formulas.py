@@ -317,6 +317,29 @@ def test_subst_nom_sets_the_nominals_of_rebuilt_nodes():
             assert nominals(h) == {n.name for n in walk(h) if isinstance(n, Nom)}
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_subst_nom_memo_rewrites_each_subterm_once(seed):
+    """One memo over several formulas gives each formula its memo-free
+    result, and equal rewritten subterms are one object."""
+    rng = random.Random(seed)
+    a, b = rng.sample(NAMES, 2)
+    # repeated subterms, also across formulas, as on a branch's labels
+    common = named_formula(rng, 3)
+    fs = [And(named_formula(rng, 3), common) if rng.random() < 0.5 else named_formula(rng, 4)
+          for _ in range(4)]
+    memo = {}
+    outs = [subst_nom(f, a, b, memo) for f in fs]
+    assert outs == [subst_nom(f, a, b) for f in fs]
+    assert all(a not in nominals(g) for g in outs)
+    old = {id(h) for f in fs for h in walk(f)}
+    rebuilt = {}
+    for g in outs:
+        for h in walk(g):
+            if id(h) not in old:
+                assert rebuilt.setdefault(h, h) is h
+
+
 def test_branch_substitute_keeps_untouched_labels():
     b = Branch()
     b.add(Sat("a", Diamond(fwd("r"), Nom("c"))), None, "init", ())

@@ -2,7 +2,9 @@ import pytest
 
 from hylotab import tableau
 from hylotab.blocking import recompute_blocking
-from hylotab.formulas import A, Bot, Box, Diamond, Incl, Neg, Nom, Or, Prop, Trans, bwd, fwd, nominals, shape
+from hylotab.formulas import (
+    A, Bot, Box, Diamond, Incl, Neg, Nom, Or, Prop, Trans, bwd, fwd, nominals, shape, subst_nom,
+)
 from hylotab.fragments import FragmentError
 from hylotab.parser import parse
 from hylotab.preprocess import preprocess
@@ -256,6 +258,22 @@ def check_index(branch):
             assert set(conclusions(labels[i])) & npl
     for i in live[: ix.witness]:
         assert not ix.blockable[i] or i in branch.expanded or ix.info.direct[i]
+    # box, A and Trans instances marked done have their conclusion in npl;
+    # an A mark of a nominal merged away since names no instance any more
+    for key in ix.done:
+        if key[0] == "A":
+            _rule, j, nom = key
+            assert nom not in first_at or Sat(nom, labels[j].body.sub) in npl
+            continue
+        rule, p, j = key
+        _m, x, rel, y = ix.readings[p]
+        g = labels[j].body
+        assert labels[j].nom == x and isinstance(g, Box)
+        if rule == "box":
+            assert g.rel == rel and Sat(y, g.sub) in npl
+        else:
+            assert rule == "Trans" and rel.sym in branch.trans and branch.has_incl(rel, g.rel)
+            assert Sat(y, Box(rel, g.sub)) in npl
 
 
 def test_closure_keeps_the_first_clash():
@@ -391,15 +409,40 @@ def test_every_blockinfo_comes_from_recompute_blocking(monkeypatch):
     assert sat > 200 and checks > 1500
 
 
+def test_merges_rewrite_labels_as_one_call_per_label(monkeypatch):
+    """Each merge's shared memo gives every label the memo-free rewrite."""
+    real_substitute, merges = Branch.substitute, 0
+
+    def checked(branch, a, b):
+        nonlocal merges
+        want = [Sat(b if lab.nom == a else lab.nom, subst_nom(lab.body, a, b))
+                if isinstance(lab, Sat) else lab for lab in branch.labels]
+        real_substitute(branch, a, b)
+        assert branch.labels == want
+        merges += 1
+
+    monkeypatch.setattr(Branch, "substitute", checked)
+    for _pid, problem in corpus():
+        try:
+            prepared = preprocess(problem)
+        except FragmentError:
+            continue
+        solve(prepared, LIMITS)
+    assert merges > 200
+
+
 def test_index_matches_from_scratch_views(monkeypatch):
     real_step = tableau.step
-    seen = {"steps": 0, "kept merges": 0, "reset merges": 0, "kept splits": 0}
+    seen = {"steps": 0, "kept merges": 0, "reset merges": 0, "kept splits": 0, "marks": 0}
 
     def checked(branch):
         merges = len(branch.subst_log)
         status, other = real_step(branch)
         if len(branch.subst_log) > merges:
             seen["kept merges" if branch.index.info else "reset merges"] += 1
+        if branch.index.info is None:  # the step reset the live views
+            assert not branch.index.done
+        seen["marks"] += len(branch.index.done)
         # the next step's blocking() then extends over nothing
         branch.blocking()
         check_index(branch)
@@ -418,4 +461,4 @@ def test_index_matches_from_scratch_views(monkeypatch):
             continue
         solve(prepared, LIMITS)
     assert seen["steps"] > 2000 and seen["kept merges"] > 200 and seen["kept splits"] > 200
-    assert seen["reset merges"] > 0
+    assert seen["reset merges"] > 0 and seen["marks"] > 1000
