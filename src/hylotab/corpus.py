@@ -31,8 +31,8 @@ from .formulas import (
     Var,
     bwd,
     fwd,
-    is_ground,
 )
+from .fragments import scan
 from .parser import Problem
 
 
@@ -50,8 +50,11 @@ def disj(fs) -> Formula:
 def frame_property(name: str, rel: str = "r", n: int = 2):
     """Assertions or formulas forcing well-known frame conditions.
     Returns an assertion for conditions expressible as such, otherwise
-    a formula to be conjoined with the input.
+    a formula to be conjoined with the input.  The count n of
+    at_most_n and at_least_n_successors must be at least 1.
     """
+    if n < 1:
+        raise ValueError("frame property count must be at least 1, not %d" % n)
     r = fwd(rel)
     if name == "transitivity":
         return Trans(rel)
@@ -197,6 +200,8 @@ def random_fragment_problem(
     universal operator, with random transitivity and containment
     assertions.  Fully determined by the seed.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative, not %d" % depth)
     rng = random.Random(seed)
 
     def atom():
@@ -280,4 +285,4 @@ def enumerate_small_formulas():
     level3 = [u for f in level2 for u in unaries(f)]
 
     # first occurrences, in order
-    return list(dict.fromkeys(f for f in itertools.chain(level1, level2, level3) if is_ground(f)))
+    return list(dict.fromkeys(f for f in itertools.chain(level1, level2, level3) if not scan(f).free))

@@ -217,11 +217,6 @@ def nnf(f: Formula) -> Formula:
     return _rebuild(g, [nnf(Neg(h)) for h in children(g)], _DUAL.get(type(g)))
 
 
-def is_nnf(f: Formula) -> bool:
-    """True iff negation appears only on propositions, nominals, variables."""
-    return all(isinstance(g.sub, (Prop, Nom, Var)) for g in walk(f) if isinstance(g, Neg))
-
-
 def children(f: Formula) -> tuple:
     if isinstance(f, (And, Or)):
         return (f.left, f.right)
@@ -295,25 +290,6 @@ def _rebuild(f: Formula, subs: list, op: type | None = None) -> Formula:
 # ---------------------------------------------------------------------------
 # Inspection helpers
 
-def free_vars(f: Formula, bound: frozenset = frozenset()) -> set:
-    if isinstance(f, Var):
-        return set() if f.name in bound else {f.name}
-    if isinstance(f, ATOMS):
-        return set()
-    if isinstance(f, Down):
-        return free_vars(f.sub, bound | {f.var})
-    if isinstance(f, At):
-        return free_vars(f.at, bound) | free_vars(f.sub, bound)
-    out: set = set()
-    for g in children(f):
-        out |= free_vars(g, bound)
-    return out
-
-
-def is_ground(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def nominals(f: Formula) -> frozenset:
     try:
         return f._noms
@@ -369,10 +345,6 @@ def rel_syms(f: Formula) -> set:
 
 def props(f: Formula) -> set:
     return {g.name for g in walk(f) if isinstance(g, Prop)}
-
-
-def has_grades(f: Formula) -> bool:
-    return any(isinstance(g, (Diamond, Box)) and g.grade is not None for g in walk(f))
 
 
 def size(f: Formula) -> int:

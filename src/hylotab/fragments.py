@@ -3,15 +3,17 @@ that govern decidability, and the restrictions on graded modalities.
 
 All detectors expect NNF input; "scope" is plain AST dominance (an
 @-jump does not cut scope).  Universal operators are [R], [A] and the
-graded [R]^n.  One preorder pass (`scan`) finds every witness; the
-detectors and `classify` are views on it.
+graded [R]^n.  One preorder pass (`scan`) finds every witness, and also
+whether a graded operator occurs and which variables are free: it is
+the one syntactic check of every pipeline stage.  The detectors and
+`classify` are views on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formulas import A, Box, Diamond, Down, Formula, children, nnf
+from .formulas import A, At, Box, Diamond, Down, Formula, Var, children, nnf
 
 # A position is a tuple of child indices from the root.
 Path = tuple
@@ -36,26 +38,37 @@ class Scan:
     box_down_box: list = field(default_factory=list)  # binders under and over a universal
     down_box: list = field(default_factory=list)      # binders over a universal
     graded: list = field(default_factory=list)        # graded restriction violations
+    grades: bool = False                              # a graded operator occurs
+    free: set = field(default_factory=set)            # free variables, @x prefixes included
 
 
 def scan(f: Formula) -> Scan:
     """Visit each node of the NNF formula f once and collect all witnesses."""
     out = Scan()
-    _scan(f, (), False, out)
+    _scan(f, (), False, frozenset(), out)
     return out
 
 
-def _scan(f: Formula, path: Path, under: bool, out: Scan) -> tuple[bool, bool]:
+def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> tuple[bool, bool]:
     """Returns whether f contains a universal operator, and whether it
     contains a binder scoping over one.  A node's witnesses are known
     only after its subtree, so they are inserted at the list positions
-    reached before it, which keeps every list in preorder.
+    reached before it, which keeps every list in preorder.  `bound` holds
+    the variables of the binders above f.
     """
+    name = f.at if isinstance(f, At) else f  # a variable may occur as an @-prefix
+    if isinstance(name, Var) and name.name not in bound:
+        out.free.add(name.name)
+    subs = children(f)
+    if not subs:
+        return False, False
+    if isinstance(f, Down):
+        bound = bound | {f.var}
     universal = is_universal(f)
     marks = (len(out.box_down_box), len(out.down_box), len(out.graded))
     has_universal = has_down_box = False
-    for i, g in enumerate(children(f)):
-        u, d = _scan(g, path + (i,), under or universal, out)
+    for i, g in enumerate(subs):
+        u, d = _scan(g, path + (i,), under or universal, bound, out)
         has_universal |= u
         has_down_box |= d
     if isinstance(f, Down) and has_universal:
@@ -63,17 +76,16 @@ def _scan(f: Formula, path: Path, under: bool, out: Scan) -> tuple[bool, bool]:
         out.down_box.insert(marks[1], ("down-box", path))
         if under:
             out.box_down_box.insert(marks[0], ("box-down-box", path))
-    elif isinstance(f, Box) and f.grade is not None:
+    elif isinstance(f, (Box, Diamond)) and f.grade is not None:
+        out.grades = True
         found = []
-        if under:
+        if universal and under:
             found.append(("graded-box-under-universal (1a)", path))
-        if has_down_box:
+        if universal and has_down_box:
             found.append(("graded-box-body-has-down-box (1b)", path))
+        if not universal and under and has_universal:
+            found.append(("graded-diamond-under-universal-with-universal-body (2)", path))
         out.graded[marks[2]:marks[2]] = found
-    elif isinstance(f, Diamond) and f.grade is not None and under and has_universal:
-        out.graded.insert(
-            marks[2], ("graded-diamond-under-universal-with-universal-body (2)", path)
-        )
     return has_universal or universal, has_down_box
 
 
@@ -109,6 +121,7 @@ class FragmentVerdict:
     has_down_box: bool
     graded_ok: bool
     witnesses: list = field(default_factory=list)
+    formula: Formula | None = None  # the NNF the detectors ran on
 
     @property
     def preprocessable(self) -> bool:
@@ -117,10 +130,12 @@ class FragmentVerdict:
 
 def classify(problem) -> FragmentVerdict:
     """Run all detectors on the NNF of the problem's formula."""
-    s = scan(nnf(problem.formula))
+    f = nnf(problem.formula)
+    s = scan(f)
     return FragmentVerdict(
         bool(s.box_down_box),
         bool(s.down_box),
         not s.graded,
         s.box_down_box + s.down_box + s.graded,
+        f,
     )

@@ -21,8 +21,6 @@ from .formulas import (
     Relation,
     Var,
     children,
-    has_grades,
-    nnf,
     subst_var,
     _rebuild,
 )
@@ -106,7 +104,8 @@ def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames | Non
 
 def expand_grades(f: Formula, fresh: FreshNames) -> Formula:
     """Replace every graded modality by its binder definition, innermost
-    first so expanded bodies are already grade-free.
+    first so expanded bodies are already grade-free.  The definitions
+    negate only variables, so an NNF input gives an NNF output.
     """
     subs = [expand_grades(g, fresh) for g in children(f)]
     if isinstance(f, Diamond) and f.grade is not None:
@@ -125,9 +124,9 @@ def tau(f: Formula, fresh: FreshNames | None = None) -> Formula:
     identity elsewhere.  Input must be ungraded NNF without the pattern
     of a binder nested between two universal operators.
     """
-    if has_grades(f):
-        raise FragmentError("graded operator in input to the translation")
     found = scan(f)
+    if found.grades:
+        raise FragmentError("graded operator in input to the translation")
     if found.box_down_box:
         raise FragmentError(
             "input contains a universal-binder-universal nesting", found.box_down_box
@@ -153,9 +152,10 @@ def _tau(f: Formula, path: tuple, critical: set, fresh: FreshNames) -> Formula:
 
 
 def preprocess(problem: Problem) -> Problem:
-    """nnf -> graded expansion -> nnf -> tau.  Raises FragmentError when
-    the problem lies outside the accepted fragment; assertions pass
-    through unchanged.
+    """nnf (classify's) -> graded expansion -> tau.  Expanding an NNF
+    formula gives NNF, so no second normalization is needed.  Raises
+    FragmentError when the problem lies outside the accepted fragment;
+    assertions pass through unchanged.
     """
     verdict = classify(problem)
     if not verdict.preprocessable:
@@ -164,8 +164,5 @@ def preprocess(problem: Problem) -> Problem:
             [w for w in verdict.witnesses if w[0] != "down-box"],
         )
     fresh = FreshNames()
-    f = nnf(problem.formula)
-    f = expand_grades(f, fresh)
-    f = nnf(f)
-    f = tau(f, fresh)
+    f = tau(expand_grades(verdict.formula, fresh), fresh)
     return Problem(list(problem.assertions), f, set(problem.declared_rels))

@@ -456,7 +456,14 @@ def format_model(model: Interpretation) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Fields after the keyword of each model line, as written by format_model.
+_MODEL_FIELDS = {"states": 1, "nominal": 2, "label": 2, "edge": 3}
+
+
 def parse_model(text: str) -> Interpretation:
+    """The inverse of format_model.  Raises ValueError on a malformed
+    line or on a state outside 0..N-1, N the `states` count.
+    """
     states: frozenset = frozenset()
     rho: dict = {}
     nom: dict = {}
@@ -466,6 +473,8 @@ def parse_model(text: str) -> Interpretation:
         if not line:
             continue
         parts = line.split()
+        if _MODEL_FIELDS.get(parts[0]) != len(parts) - 1:
+            raise ValueError("bad model line: %r" % raw)
         if parts[0] == "states":
             states = frozenset(range(int(parts[1])))
         elif parts[0] == "nominal":
@@ -473,8 +482,9 @@ def parse_model(text: str) -> Interpretation:
         elif parts[0] == "label":
             w = int(parts[1])
             val[w] = val.get(w, frozenset()) | {parts[2]}
-        elif parts[0] == "edge":
-            rho.setdefault(parts[1], set()).add((int(parts[2]), int(parts[3])))
         else:
-            raise ValueError("bad model line: %r" % raw)
+            rho.setdefault(parts[1], set()).add((int(parts[2]), int(parts[3])))
+    used = {*nom.values(), *val, *(w for pairs in rho.values() for pair in pairs for w in pair)}
+    if used - states:
+        raise ValueError("model state %d is not among the %d states" % (min(used - states), len(states)))
     return Interpretation(states, rho, nom, val)

@@ -39,8 +39,6 @@ from .formulas import (
     Trans,
     bwd,
     fwd,
-    has_grades,
-    is_ground,
     nnf,
     node,
     nominals,
@@ -395,14 +393,14 @@ class Branch:
 
 def init_branch(problem: Problem) -> Branch:
     f = nnf(problem.formula)
-    if has_grades(f):
+    found = scan(f)
+    if found.grades:
         raise ValueError("graded operators must be eliminated before solving")
-    if not is_ground(f):
+    if found.free:
         raise ValueError("input formula must be ground")
-    critical = scan(f).down_box
-    if critical:
+    if found.down_box:
         raise FragmentError(
-            "binder scoping over a universal operator; preprocess first", critical
+            "binder scoping over a universal operator; preprocess first", found.down_box
         )
     b = Branch()
     b.input_formula = f

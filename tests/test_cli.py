@@ -131,3 +131,44 @@ def test_validate(tmp_path, capsys):
     f = write(tmp_path, "p.hl", "formula: <r> p & [r] q;")
     assert main(["validate", f]) == 0
     assert first_line(capsys) == "RESULT: VALIDATED"
+
+
+@pytest.mark.parametrize(
+    "model",
+    ["nominal a", "edge r 0", "label 0", "states", "states 1\nnominal a 5",
+     "states 2\nedge r 0 2", "states 1\nlabel 1 p"],
+    ids=["nominal", "edge", "label", "states", "nominal-state", "edge-state", "label-state"],
+)
+def test_model_check_malformed_model(tmp_path, capsys, model):
+    m = write(tmp_path, "m.txt", model + "\n")
+    f = write(tmp_path, "p.hl", "formula: p;")
+    assert main(["model-check", m, f]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "RESULT: INPUT-ERROR"
+    assert out[1].startswith(("bad model line", "model state"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frame", "--property", "at_most_n", "--n", "0"], "count must be at least 1"),
+        (["frame", "--property", "at_least_n_successors", "--n", "0"], "count must be at least 1"),
+        (["random", "--depth", "-1"], "depth must be nonnegative"),
+    ],
+    ids=["at-most-0", "at-least-0", "negative-depth"],
+)
+def test_gen_rejects_bad_counts(capsys, argv, message):
+    assert main(["gen"] + argv) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "RESULT: INPUT-ERROR"
+    assert message in out[1]
+
+
+def test_gen_smallest_counts_round_trip(tmp_path, capsys):
+    for argv in (["frame", "--property", "at_most_n", "--n", "1"],
+                 ["frame", "--property", "at_least_n_successors", "--n", "1"],
+                 ["random", "--depth", "0"]):
+        assert main(["gen"] + argv) == 0
+        f = write(tmp_path, "g.hl", capsys.readouterr().out.split("\n", 1)[1])
+        assert main(["solve", f]) in (0, 1)
+        assert first_line(capsys) in ("RESULT: SAT", "RESULT: UNSAT")

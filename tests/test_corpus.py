@@ -17,11 +17,9 @@ from hylotab.formulas import (
     Var,
     bwd,
     fwd,
-    has_grades,
-    is_ground,
     nnf,
 )
-from hylotab.fragments import detect_down_box
+from hylotab.fragments import detect_down_box, scan
 from hylotab.parser import parse, print_problem
 from hylotab.semantics import Interpretation, evaluate
 
@@ -56,13 +54,13 @@ def test_tilings_round_trip():
     for problem in (tiling_at(default_tiles()), tiling_conv(default_tiles())):
         text = print_problem(problem)
         assert parse(text).formula == problem.formula
-        assert has_grades(problem.formula)
+        assert scan(problem.formula).grades
 
 
 def test_functionality_formula_shape():
     f = functionality_formula()
-    assert not has_grades(f)
-    assert is_ground(f)  # the binder captures every variable occurrence
+    assert not scan(f).grades
+    assert not scan(f).free  # the binder captures every variable occurrence
 
 
 def test_random_problems_deterministic_and_in_fragment():
@@ -70,7 +68,7 @@ def test_random_problems_deterministic_and_in_fragment():
         p1 = random_fragment_problem(seed)
         p2 = random_fragment_problem(seed)
         assert p1.formula == p2.formula and p1.assertions == p2.assertions
-        assert is_ground(p1.formula)
+        assert not scan(p1.formula).free
         assert not detect_down_box(nnf(p1.formula))[0]
 
 
@@ -83,4 +81,4 @@ def test_enumeration_size_and_shape():
     fs = enumerate_small_formulas()
     assert 800 <= len(fs) <= 2200
     assert len(set(fs)) == len(fs)
-    assert all(is_ground(f) for f in fs)
+    assert not any(scan(f).free for f in fs)

@@ -23,11 +23,8 @@ from hylotab.formulas import (
     Var,
     bwd,
     children,
-    free_vars,
     fwd,
-    has_grades,
     is_instance_of,
-    is_nnf,
     nnf,
     nominals,
     props,
@@ -39,6 +36,7 @@ from hylotab.formulas import (
     subst_var,
     walk,
 )
+from hylotab.fragments import scan
 from hylotab.semantics import Interpretation, evaluate
 from hylotab.tableau import Branch, Sat
 
@@ -89,7 +87,7 @@ def test_nnf_preserves_truth(seed):
     rng = random.Random(seed)
     f = random_formula(rng, 4)
     g = nnf(f)
-    assert is_nnf(g)
+    assert ref_is_nnf(g)
     for _ in range(3):
         m = random_model(rng)
         for w in m.states:
@@ -123,7 +121,7 @@ def test_subst_nom_everywhere():
 
 def test_free_vars_and_nominals():
     f = Down("x", And(Var("x"), And(Var("y"), Nom("a"))))
-    assert free_vars(f) == {"y"}
+    assert scan(f).free == {"y"}
     assert nominals(f) == {"a"}
 
 
@@ -162,10 +160,8 @@ def test_walk_views_agree_with_recursive_definitions(seed):
     for g in nodes:
         nodes.extend(children(g))
     assert size(f) == ref_size(f)
-    assert is_nnf(f) == ref_is_nnf(f)
     assert rel_syms(f) == {g.rel.sym for g in nodes if isinstance(g, (Diamond, Box))}
     assert props(f) == {g.name for g in nodes if isinstance(g, Prop)}
-    assert has_grades(f) == any(getattr(g, "grade", None) is not None for g in nodes)
 
 
 def test_walk_views_on_deep_chain():
@@ -177,9 +173,6 @@ def test_walk_views_on_deep_chain():
     assert size(f) == 5002
     assert rel_syms(f) == {"r", "s", "t"}
     assert props(f) == {"p"}
-    assert has_grades(f)
-    assert is_nnf(f)
-    assert not is_nnf(Diamond(fwd("r"), Neg(f)))
 
 
 def test_subformula_closure_renames_boxes():

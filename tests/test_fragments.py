@@ -1,10 +1,33 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hylotab.corpus import functionality_formula, tiling_at, tiling_conv, default_tiles
-from hylotab.formulas import nnf
+from hylotab.formulas import (
+    A,
+    And,
+    At,
+    Box,
+    Diamond,
+    Down,
+    E,
+    Neg,
+    Nom,
+    Or,
+    Prop,
+    Var,
+    bwd,
+    children,
+    fwd,
+    nnf,
+)
 from hylotab.fragments import (
     check_graded_restrictions,
     classify,
     detect_box_down_box,
     detect_down_box,
+    scan,
 )
 from hylotab.parser import Problem, parse_formula
 
@@ -128,3 +151,60 @@ def test_witnesses_tilings():
         (G1A, (0, 0, 0, 1, 0, 1, 0)), (G1A, (0, 0, 0, 1, 1, 0)),
         (G1A, (0, 0, 1, 0, 0)), (G1A, (0, 0, 1, 1, 0)),
     ]
+
+
+def random_hybrid(rng, depth):
+    """A formula over variables x and y with negations anywhere, graded
+    modalities (also under negation), @-prefixes that are variables, and
+    binders that may shadow an enclosing binder of the same variable."""
+    if depth == 0:
+        return rng.choice([Prop("p"), Nom("a"), Var("x"), Var("y")])
+    sub = lambda: random_hybrid(rng, depth - 1)
+    op = rng.randrange(9)
+    if op == 0:
+        return Neg(sub())
+    if op == 1:
+        return rng.choice([And, Or])(sub(), sub())
+    if op in (2, 3):
+        grade = rng.choice([None, None, 0, 1, 2])
+        return rng.choice([Diamond, Box])(rng.choice([fwd("r"), bwd("r")]), sub(), grade)
+    if op == 4:
+        return rng.choice([E, A])(sub())
+    if op == 5:
+        return At(rng.choice([Nom("a"), Var("x"), Var("y")]), sub())
+    return Down(rng.choice("xy"), sub())
+
+
+def ref_free(f, bound=frozenset()):
+    if isinstance(f, Var):
+        return set() if f.name in bound else {f.name}
+    if isinstance(f, Down):
+        return ref_free(f.sub, bound | {f.var})
+    if isinstance(f, At):
+        return ref_free(f.at, bound) | ref_free(f.sub, bound)
+    return set().union(*(ref_free(g, bound) for g in children(f)))
+
+
+def ref_grades(f):
+    return getattr(f, "grade", None) is not None or any(map(ref_grades, children(f)))
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_scan_grades_and_free_match_reference(seed):
+    f = random_hybrid(random.Random(seed), 5)
+    for g in (f, nnf(f)):
+        found = scan(g)
+        assert found.grades == ref_grades(f)
+        assert found.free == ref_free(f)
+
+
+def test_scan_free_variables_by_example():
+    assert scan(Down("x", And(Var("x"), Var("y")))).free == {"y"}
+    # an @-prefix counts, and an inner binder shadows the outer one
+    assert scan(At(Var("z"), Prop("p"))).free == {"z"}
+    assert scan(Down("x", At(Var("x"), Down("x", Var("x"))))).free == set()
+    assert scan(And(Var("x"), Down("x", Var("x")))).free == {"x"}
+    # grades count under negation and inside @
+    assert scan(Neg(At(Nom("a"), Diamond(fwd("r"), Prop("p"), 0)))).grades
+    assert not scan(parse_formula("[r] <r> p")).grades

@@ -21,6 +21,7 @@ from hylotab.formulas import (
     fwd,
     nnf,
 )
+from hylotab.fragments import scan
 from hylotab.parser import Problem, parse_formula, print_formula
 from hylotab.preprocess import (
     FragmentError,
@@ -32,6 +33,9 @@ from hylotab.preprocess import (
     tau,
 )
 from hylotab.semantics import Interpretation, evaluate
+
+from test_formulas import ref_is_nnf
+from test_fragments import random_hybrid
 
 r = fwd("r")
 p = Prop("p")
@@ -126,9 +130,36 @@ def test_graded_box_equivalent_on_small_models(n):
 def test_expand_grades_nested():
     f = Diamond(r, Diamond(r, p, grade=1), grade=1)
     g = expand_grades(f, FreshNames())
-    from hylotab.formulas import has_grades
+    assert not scan(g).grades
 
-    assert not has_grades(g)
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_expand_grades_keeps_nnf(seed):
+    """preprocess normalizes once, before the expansion."""
+    f = nnf(random_hybrid(random.Random(seed), 5))
+    g = expand_grades(f, FreshNames())
+    assert ref_is_nnf(g)
+    assert nnf(g) == g
+
+
+def tau_error(text):
+    with pytest.raises(FragmentError) as exc:
+        tau(nnf(parse_formula(text)), FreshNames())
+    return str(exc.value), exc.value.witnesses
+
+
+def test_tau_error_messages():
+    graded = ("graded operator in input to the translation", [])
+    assert tau_error("<r>^1 p") == graded
+    # the grade check comes first
+    assert tau_error("[r] down x . [r] <r>^1 x") == graded
+    assert tau_error("[r] down x . [r] x") == (
+        "input contains a universal-binder-universal nesting", [("box-down-box", (0,))]
+    )
+    # a binder over a universal alone is translated, and open input passes
+    assert isinstance(tau(nnf(parse_formula("down x . [r] x")), FreshNames()), And)
+    assert tau(At(Var("x"), p), FreshNames()) == At(Var("x"), p)
 
 
 def test_tau_regression():
@@ -159,11 +190,9 @@ def test_tau_rejects_box_down_box():
 
 def test_preprocess_pipeline():
     q = preprocess(Problem([], parse_formula("<r>^1 p & down x . [r] x")))
-    from hylotab.formulas import has_grades
-    from hylotab.fragments import detect_down_box
-
-    assert not has_grades(q.formula)
-    assert not detect_down_box(q.formula)[0]
+    found = scan(q.formula)
+    assert not found.grades
+    assert not found.down_box
 
 
 def test_preprocess_rejects_outside_fragment():

@@ -18,6 +18,7 @@ from hylotab.formulas import (
     bwd,
     fwd,
 )
+from hylotab.corpus import random_fragment_problem
 from hylotab.parser import Problem, parse, parse_formula
 from hylotab.preprocess import preprocess
 from hylotab.semantics import (
@@ -136,11 +137,15 @@ def test_model_serialization_round_trip(chain):
     assert {w: ps for w, ps in back.val.items() if ps} == chain.val
 
 
-def sat_branch(text):
-    q = preprocess(parse(text))
+def sat_branch_of(q):
     res = solve(q, Limits(timeout=15))
     assert res.verdict == "sat"
-    return res, q
+    return res
+
+
+def sat_branch(text):
+    q = preprocess(parse(text))
+    return sat_branch_of(q), q
 
 
 def test_extraction_simple():
@@ -171,6 +176,29 @@ def test_extraction_containment():
 def test_extraction_after_merge():
     res, q = sat_branch("formula: @'a 'b & @'a p;")
     ok, ex = validate_extraction(res.branch, res.blocking, q)
+    assert ok
+
+
+# The smallest random problems whose extracted model fails to validate
+# (depths 3-5, seeds 0-299): `r <= s; [A] down x0 . <r-> !x0` and
+# `trans r; trans s; [A] [A] down x0 . <s> !x0`.  Both are sat.
+EXTRACTION_FAILURES = [(27, 3), (63, 4)]
+
+
+@pytest.mark.parametrize("seed, depth", EXTRACTION_FAILURES)
+def test_extraction_failures_are_sat(seed, depth):
+    q = preprocess(random_fragment_problem(seed, depth=depth))
+    assert bounded_sat(q, max_states=3) is not None
+    sat_branch_of(q)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="extract_model: the extracted model of a sat branch fails to validate")
+@pytest.mark.parametrize("seed, depth", EXTRACTION_FAILURES)
+def test_extraction_validates_on_small_random_problems(seed, depth):
+    q = preprocess(random_fragment_problem(seed, depth=depth))
+    res = sat_branch_of(q)
+    ok, _ = validate_extraction(res.branch, res.blocking, q)
     assert ok
 
 

@@ -3,10 +3,11 @@ import pytest
 from hylotab import tableau
 from hylotab.blocking import recompute_blocking
 from hylotab.formulas import (
-    A, Bot, Box, Diamond, Incl, Neg, Nom, Or, Prop, Trans, bwd, fwd, nominals, shape, subst_nom,
+    A, And, At, Bot, Box, Diamond, Down, Incl, Neg, Nom, Or, Prop, Trans, Var, bwd, fwd, nominals,
+    shape, subst_nom,
 )
 from hylotab.fragments import FragmentError
-from hylotab.parser import parse
+from hylotab.parser import Problem, parse, parse_formula
 from hylotab.preprocess import preprocess
 from hylotab.tableau import (
     Branch,
@@ -155,10 +156,29 @@ def test_rejects_binder_over_universal(text):
     assert exc.value.witnesses
 
 
-def test_rejects_open_formula():
-    from hylotab.formulas import Var
-    from hylotab.parser import Problem
+def init_error(formula):
+    with pytest.raises(ValueError) as exc:
+        init_branch(Problem([], formula))
+    return type(exc.value).__name__, str(exc.value), getattr(exc.value, "witnesses", None)
 
+
+def test_init_branch_error_messages():
+    graded = ("ValueError", "graded operators must be eliminated before solving", None)
+    ground = ("ValueError", "input formula must be ground", None)
+    over = parse_formula("down x . [r] x")
+    assert init_error(parse_formula("<r>^1 p")) == graded
+    # checked in order: grades, then free variables, then binders over universals
+    assert init_error(And(Var("y"), parse_formula("<r>^1 p & down x . [r] x"))) == graded
+    assert init_error(And(Var("y"), over)) == ground
+    assert init_error(At(Var("y"), parse_formula("p"))) == ground
+    assert init_error(Down("y", And(over, Var("y")))) == (
+        "FragmentError",
+        "binder scoping over a universal operator; preprocess first",
+        [("down-box", ()), ("down-box", (0, 0))],
+    )
+
+
+def test_rejects_open_formula():
     with pytest.raises(ValueError):
         solve(Problem([], Var("x")))
 
