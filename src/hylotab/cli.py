@@ -24,9 +24,9 @@ from .parser import ParseError, Problem, parse, print_problem
 from .preprocess import preprocess
 from .semantics import (
     BudgetError,
+    Evaluator,
     bounded_sat,
     check_assertions,
-    evaluate,
     format_model,
     parse_model,
     saturation_violations,
@@ -114,7 +114,8 @@ def _cmd_model_check(args) -> int:
         print("an assertion fails in the model")
         return EXIT_UNSAT
     f = nnf(problem.formula)
-    if any(evaluate(model, w, f) for w in sorted(model.states, key=str)):
+    ev = Evaluator(model)
+    if any(ev.holds(w, f) for w in sorted(model.states, key=str)):
         print("RESULT: VALID")
         return EXIT_SAT
     print("RESULT: INVALID")

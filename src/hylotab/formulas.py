@@ -9,6 +9,7 @@ nominals and its nominal-erased shape once computed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 FRESH_PREFIX = "_"
@@ -199,7 +200,8 @@ def nnf(f: Formula) -> Formula:
 
     Graded modalities are handled by duality with the same grade.  The
     binder and @ are self-dual, so a negation simply moves inside them.
-    Idempotent; preserves truth on every interpretation.
+    Preserves truth on every interpretation.  An NNF input is returned
+    itself, so `nnf(nnf(f)) is nnf(f)`.
     """
     if isinstance(f, ATOMS):
         return f
@@ -269,9 +271,13 @@ def subst_nom(f: Formula, a: str, b: str, memo: dict | None = None) -> Formula:
 
 def _rebuild(f: Formula, subs: list, op: type | None = None) -> Formula:
     """A node of class `op` (default: f's own) with f's relation, grade,
-    prefix or variable, over the children `subs`.
+    prefix or variable, over the children `subs`.  Without `op`, f itself
+    when every child is unchanged, so its cached facts are kept.
     """
-    op = op or type(f)
+    if op is None:
+        if all(map(operator.is_, subs, children(f))):
+            return f
+        op = type(f)
     if op is And or op is Or:
         return op(subs[0], subs[1])
     if op is Neg:

@@ -105,7 +105,8 @@ def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames | Non
 def expand_grades(f: Formula, fresh: FreshNames) -> Formula:
     """Replace every graded modality by its binder definition, innermost
     first so expanded bodies are already grade-free.  The definitions
-    negate only variables, so an NNF input gives an NNF output.
+    negate only variables, so an NNF input gives an NNF output.  A
+    grade-free subtree is returned itself.
     """
     subs = [expand_grades(g, fresh) for g in children(f)]
     if isinstance(f, Diamond) and f.grade is not None:
@@ -121,8 +122,9 @@ def tau(f: Formula, fresh: FreshNames | None = None) -> Formula:
     """Skolemizing translation: a binder whose body contains a universal
     operator is replaced by a fresh nominal naming the bound state.
     Homomorphic on conjunction, disjunction, @, diamonds and E; the
-    identity elsewhere.  Input must be ungraded NNF without the pattern
-    of a binder nested between two universal operators.
+    identity elsewhere, and a subtree without a replaced binder is
+    returned itself.  Input must be ungraded NNF without the pattern of a
+    binder nested between two universal operators.
     """
     found = scan(f)
     if found.grades:

@@ -66,59 +66,97 @@ class Interpretation:
 
 
 def evaluate(model: Interpretation, w, f: Formula, sigma: dict | None = None) -> bool:
-    """Truth of f at state w under variable assignment sigma."""
-    sigma = sigma or {}
-    return _ev(model, w, f, sigma)
+    """Truth of f at state w under variable assignment sigma.  To check
+    f at several states of one model, share one `Evaluator` instead.
+    """
+    return Evaluator(model).holds(w, f, sigma)
 
 
-def _ev(m, w, f, sigma):
-    if isinstance(f, Prop):
-        return f.name in m.val.get(w, frozenset())
-    if isinstance(f, Nom):
-        if f.name not in m.nom:
-            raise EvalError("nominal %r not interpreted" % f.name)
-        return m.nom[f.name] == w
-    if isinstance(f, Var):
-        if f.name not in sigma:
-            raise EvalError("unbound variable %r" % f.name)
-        return sigma[f.name] == w
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Neg):
-        return not _ev(m, w, f.sub, sigma)
-    if isinstance(f, And):
-        return _ev(m, w, f.left, sigma) and _ev(m, w, f.right, sigma)
-    if isinstance(f, Or):
-        return _ev(m, w, f.left, sigma) or _ev(m, w, f.right, sigma)
-    if isinstance(f, Diamond):
-        succs = m.successors(f.rel, w)
-        if f.grade is None:
-            return any(_ev(m, v, f.sub, sigma) for v in succs)
-        hits = sum(1 for v in succs if _ev(m, v, f.sub, sigma))
-        return hits >= f.grade + 1
-    if isinstance(f, Box):
-        succs = m.successors(f.rel, w)
-        if f.grade is None:
-            return all(_ev(m, v, f.sub, sigma) for v in succs)
-        misses = sum(1 for v in succs if not _ev(m, v, f.sub, sigma))
-        return misses <= f.grade
-    if isinstance(f, E):
-        return any(_ev(m, v, f.sub, sigma) for v in m.states)
-    if isinstance(f, A):
-        return all(_ev(m, v, f.sub, sigma) for v in m.states)
-    if isinstance(f, At):
-        if isinstance(f.at, Nom):
-            if f.at.name not in m.nom:
-                raise EvalError("nominal %r not interpreted" % f.at.name)
-            return _ev(m, m.nom[f.at.name], f.sub, sigma)
-        if f.at.name not in sigma:
-            raise EvalError("unbound variable %r" % f.at.name)
-        return _ev(m, sigma[f.at.name], f.sub, sigma)
-    if isinstance(f, Down):
-        return _ev(m, w, f.sub, {**sigma, f.var: w})
-    raise TypeError(f)
+class Evaluator:
+    """Truth of formulas in one model.  Successor sets are built once per
+    relation, in the insertion order of `Interpretation.successors`; the
+    truth of each modal, global and @ operand is kept per (operand,
+    state, assignment), the assignment a sorted tuple built when a binder
+    binds.  Operators short-circuit as in a direct recursion, so EvalError
+    is raised in the same cases.  Nothing is cached on the model, which
+    may change after this evaluator is dropped.
+    """
+
+    def __init__(self, model: Interpretation):
+        self.model = model
+        self._succ: dict = {}    # relation -> state -> successor set
+        self._memo: dict = {}    # (operand, state, assignment) -> truth
+
+    def holds(self, w, f: Formula, sigma: dict | None = None) -> bool:
+        sigma = sigma or {}
+        return self._ev(w, f, sigma, tuple(sorted(sigma.items())))
+
+    def _successors(self, rel, w):
+        table = self._succ.get(rel)
+        if table is None:
+            table = self._succ[rel] = {}
+            for (u, v) in self.model.pairs(rel):
+                table.setdefault(u, set()).add(v)
+        return table.get(w, ())
+
+    def _sub(self, w, f, sigma, key) -> bool:
+        k = (f, w, key)
+        out = self._memo.get(k)
+        if out is None:
+            out = self._memo[k] = self._ev(w, f, sigma, key)
+        return out
+
+    def _ev(self, w, f, sigma, key) -> bool:
+        m = self.model
+        t = type(f)
+        if t is Prop:
+            return f.name in m.val.get(w, frozenset())
+        if t is Nom:
+            if f.name not in m.nom:
+                raise EvalError("nominal %r not interpreted" % f.name)
+            return m.nom[f.name] == w
+        if t is Var:
+            if f.name not in sigma:
+                raise EvalError("unbound variable %r" % f.name)
+            return sigma[f.name] == w
+        if t is Top:
+            return True
+        if t is Bot:
+            return False
+        if t is Neg:
+            return not self._ev(w, f.sub, sigma, key)
+        if t is And:
+            return self._ev(w, f.left, sigma, key) and self._ev(w, f.right, sigma, key)
+        if t is Or:
+            return self._ev(w, f.left, sigma, key) or self._ev(w, f.right, sigma, key)
+        if t is Diamond:
+            succs = self._successors(f.rel, w)
+            if f.grade is None:
+                return any(self._sub(v, f.sub, sigma, key) for v in succs)
+            hits = sum(1 for v in succs if self._sub(v, f.sub, sigma, key))
+            return hits >= f.grade + 1
+        if t is Box:
+            succs = self._successors(f.rel, w)
+            if f.grade is None:
+                return all(self._sub(v, f.sub, sigma, key) for v in succs)
+            misses = sum(1 for v in succs if not self._sub(v, f.sub, sigma, key))
+            return misses <= f.grade
+        if t is E:
+            return any(self._sub(v, f.sub, sigma, key) for v in m.states)
+        if t is A:
+            return all(self._sub(v, f.sub, sigma, key) for v in m.states)
+        if t is At:
+            if isinstance(f.at, Nom):
+                if f.at.name not in m.nom:
+                    raise EvalError("nominal %r not interpreted" % f.at.name)
+                return self._sub(m.nom[f.at.name], f.sub, sigma, key)
+            if f.at.name not in sigma:
+                raise EvalError("unbound variable %r" % f.at.name)
+            return self._sub(sigma[f.at.name], f.sub, sigma, key)
+        if t is Down:
+            sigma = {**sigma, f.var: w}
+            return self._ev(w, f.sub, sigma, tuple(sorted(sigma.items())))
+        raise TypeError(f)
 
 
 def check_assertions(model: Interpretation, assertions) -> bool:
@@ -147,8 +185,10 @@ def bounded_sat(
     Returns the lexicographically first model found, or None when every
     candidate fails.  None means only that no model exists within the
     bound.  Raises BudgetError instead of silently truncating when the
-    candidate space is too large.
+    candidate space is too large, and ValueError when max_states < 1.
     """
+    if max_states < 1:
+        raise ValueError("max_states must be at least 1, not %d" % max_states)
     f = problem.formula
     noms = sorted(nominals(f))
     ps = sorted(props(f))
@@ -188,7 +228,8 @@ def bounded_sat(
                     m = Interpretation(frozenset(states), rho, nom, val)
                     if not check_assertions(m, problem.assertions):
                         continue
-                    if any(evaluate(m, w, f) for w in states):
+                    ev = Evaluator(m)
+                    if any(ev.holds(w, f) for w in states):
                         return m
     return None
 

@@ -119,6 +119,14 @@ def test_oracle(tmp_path, capsys):
     assert first_line(capsys) == "RESULT: UNSAT"
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_oracle_rejects_an_empty_bound(tmp_path, capsys, bound):
+    f = write(tmp_path, "p.hl", "formula: p;")
+    assert main(["oracle", "--max-states", bound, f]) == 4
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["RESULT: INPUT-ERROR", "max_states must be at least 1, not %s" % bound]
+
+
 def test_gen_random_round_trips(tmp_path, capsys):
     assert main(["gen", "random", "--seed", "7"]) == 0
     out = capsys.readouterr().out

@@ -99,7 +99,7 @@ def test_nnf_preserves_truth(seed):
 def test_nnf_idempotent(seed):
     f = random_formula(random.Random(seed), 4)
     g = nnf(f)
-    assert nnf(g) == g
+    assert nnf(g) is g
 
 
 def test_nnf_graded_duality():

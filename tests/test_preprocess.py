@@ -21,6 +21,7 @@ from hylotab.formulas import (
     fwd,
     nnf,
 )
+from hylotab.corpus import random_fragment_problem
 from hylotab.fragments import scan
 from hylotab.parser import Problem, parse_formula, print_formula
 from hylotab.preprocess import (
@@ -33,8 +34,9 @@ from hylotab.preprocess import (
     tau,
 )
 from hylotab.semantics import Interpretation, evaluate
+from hylotab.tableau import init_branch
 
-from test_formulas import ref_is_nnf
+from test_formulas import random_formula, ref_is_nnf
 from test_fragments import random_hybrid
 
 r = fwd("r")
@@ -140,7 +142,26 @@ def test_expand_grades_keeps_nnf(seed):
     f = nnf(random_hybrid(random.Random(seed), 5))
     g = expand_grades(f, FreshNames())
     assert ref_is_nnf(g)
-    assert nnf(g) == g
+    assert nnf(g) is g
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_rewrites_return_unchanged_input_itself(seed):
+    """A grade-free input leaves the expansion unchanged, and one without
+    a binder over a universal leaves tau unchanged: the node itself comes
+    back, with its cached hash, nominals and shape."""
+    f = nnf(random_formula(random.Random(seed), 4))
+    fresh = FreshNames()
+    assert expand_grades(f, fresh) is f
+    if not scan(f).down_box:
+        assert tau(f, fresh) is f
+
+
+def test_init_branch_keeps_the_preprocessed_formula():
+    for seed in range(20):
+        q = preprocess(random_fragment_problem(seed, depth=5))
+        assert init_branch(q).input_formula is q.formula
 
 
 def tau_error(text):

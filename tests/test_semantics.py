@@ -1,9 +1,15 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hylotab import semantics
 from hylotab.formulas import (
     A,
     And,
     At,
+    Bot,
     Box,
     Diamond,
     Down,
@@ -11,6 +17,7 @@ from hylotab.formulas import (
     Incl,
     Neg,
     Nom,
+    Or,
     Prop,
     Top,
     Trans,
@@ -24,6 +31,7 @@ from hylotab.preprocess import preprocess
 from hylotab.semantics import (
     BudgetError,
     EvalError,
+    Evaluator,
     Interpretation,
     bounded_sat,
     check_assertions,
@@ -120,6 +128,12 @@ def test_bounded_sat_respects_assertions():
     m = bounded_sat(parse("trans r; formula: <r> <r> p;"))
     assert m is not None
     assert check_assertions(m, [Trans("r")])
+
+
+@pytest.mark.parametrize("max_states", [0, -1])
+def test_bounded_sat_rejects_an_empty_bound(max_states):
+    with pytest.raises(ValueError, match="max_states must be at least 1"):
+        bounded_sat(parse("formula: p;"), max_states=max_states)
 
 
 def test_bounded_sat_budget():
@@ -220,3 +234,183 @@ def test_saturation_detects_missing_expansion():
     info = b.blocking()
     bad = saturation_violations(b, info)
     assert any("conjunction" in v for v in bad)
+
+
+# ---------------------------------------------------------------------------
+# The memoized evaluator against the direct recursion it replaced
+
+def direct_ev(m, w, f, sigma):
+    """Truth of f at w by direct recursion: every operand is evaluated
+    afresh at each state it is needed, and successor sets come from
+    `Interpretation.successors`."""
+    if isinstance(f, Prop):
+        return f.name in m.val.get(w, frozenset())
+    if isinstance(f, Nom):
+        if f.name not in m.nom:
+            raise EvalError("nominal %r not interpreted" % f.name)
+        return m.nom[f.name] == w
+    if isinstance(f, Var):
+        if f.name not in sigma:
+            raise EvalError("unbound variable %r" % f.name)
+        return sigma[f.name] == w
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Neg):
+        return not direct_ev(m, w, f.sub, sigma)
+    if isinstance(f, And):
+        return direct_ev(m, w, f.left, sigma) and direct_ev(m, w, f.right, sigma)
+    if isinstance(f, Or):
+        return direct_ev(m, w, f.left, sigma) or direct_ev(m, w, f.right, sigma)
+    if isinstance(f, Diamond):
+        succs = m.successors(f.rel, w)
+        if f.grade is None:
+            return any(direct_ev(m, v, f.sub, sigma) for v in succs)
+        return sum(1 for v in succs if direct_ev(m, v, f.sub, sigma)) >= f.grade + 1
+    if isinstance(f, Box):
+        succs = m.successors(f.rel, w)
+        if f.grade is None:
+            return all(direct_ev(m, v, f.sub, sigma) for v in succs)
+        return sum(1 for v in succs if not direct_ev(m, v, f.sub, sigma)) <= f.grade
+    if isinstance(f, E):
+        return any(direct_ev(m, v, f.sub, sigma) for v in m.states)
+    if isinstance(f, A):
+        return all(direct_ev(m, v, f.sub, sigma) for v in m.states)
+    if isinstance(f, At):
+        if isinstance(f.at, Nom):
+            if f.at.name not in m.nom:
+                raise EvalError("nominal %r not interpreted" % f.at.name)
+            return direct_ev(m, m.nom[f.at.name], f.sub, sigma)
+        if f.at.name not in sigma:
+            raise EvalError("unbound variable %r" % f.at.name)
+        return direct_ev(m, sigma[f.at.name], f.sub, sigma)
+    if isinstance(f, Down):
+        return direct_ev(m, w, f.sub, {**sigma, f.var: w})
+    raise TypeError(f)
+
+
+def outcome(thunk):
+    """The truth value, or "EvalError" when evaluation raises it."""
+    try:
+        return thunk()
+    except EvalError:
+        return "EvalError"
+
+
+def random_eval_formula(rng, depth):
+    """Binders, @-prefixes (nominal or variable), graded and converse
+    modalities, A and E over p, q, the nominals a and b and the
+    variables x and y.  Binders are rare, so a variable is often unbound
+    where it is reached."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Prop("p"), Prop("q"), Nom("a"), Nom("b"), Var("x"),
+                           Var("y"), Top(), Bot()])
+    sub = lambda: random_eval_formula(rng, depth - 1)
+    op = rng.randrange(10)
+    if op == 0:
+        return Neg(sub())
+    if op in (1, 2, 3):
+        return rng.choice([And, Or])(sub(), sub())
+    if op in (4, 5, 6):
+        grade = rng.choice([None, None, None, 0, 1, 2])
+        return rng.choice([Diamond, Box])(rng.choice([fwd("r"), bwd("r")]), sub(), grade)
+    if op == 7:
+        return rng.choice([E, A])(sub())
+    if op == 8:
+        return At(rng.choice([Nom("a"), Nom("b"), Var("x"), Var("y")]), sub())
+    return Down(rng.choice("xy"), sub())
+
+
+def random_model(rng):
+    """1-4 states, one relation, p and q at random; each of the nominals
+    a and b is left uninterpreted one time in three."""
+    k = rng.randrange(1, 5)
+    rho = {"r": {(u, v) for u in range(k) for v in range(k) if rng.random() < 0.4}}
+    nom = {a: rng.randrange(k) for a in "ab" if rng.random() < 2 / 3}
+    val = {w: frozenset(p for p in "pq" if rng.random() < 0.5) for w in range(k)}
+    return Interpretation(frozenset(range(k)), rho, nom, val)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=400, deadline=None)
+def test_evaluate_agrees_with_direct_recursion(seed):
+    """Same value, or EvalError from both.  One shared Evaluator serves
+    every state, as in bounded_sat."""
+    rng = random.Random(seed)
+    f = random_eval_formula(rng, rng.randrange(1, 7))
+    m = random_model(rng)
+    sigma = rng.choice([{}, {"x": rng.randrange(len(m.states))}])
+    shared = Evaluator(m)
+    for w in sorted(m.states):
+        want = outcome(lambda: direct_ev(m, w, f, sigma))
+        assert outcome(lambda: evaluate(m, w, f, sigma)) == want
+        assert outcome(lambda: shared.holds(w, f, sigma)) == want
+
+
+# 0 -r-> 1 and 0 -r-> 2, p at 1 only; x is unbound and b uninterpreted,
+# so each formula raises EvalError iff evaluation reaches x or b.
+FORK = Interpretation(frozenset({0, 1, 2}), {"r": {(0, 1), (0, 2)}}, {"a": 0},
+                      {1: frozenset({"p"})})
+P, X, B = Prop("p"), Var("x"), Nom("b")
+LAZY = [
+    (Diamond(fwd("r"), Or(P, X)), 0, True),
+    (Diamond(fwd("r"), And(Neg(P), X)), 0, "EvalError"),
+    (Box(fwd("r"), And(Neg(P), X)), 0, False),
+    (Box(fwd("r"), Or(P, X)), 0, "EvalError"),
+    (Diamond(fwd("r"), Or(P, X), grade=0), 0, "EvalError"),
+    (E(Or(Neg(P), X)), 1, True),
+    (A(And(Neg(P), X)), 1, "EvalError"),
+    (A(And(P, X)), 1, False),
+    (And(P, B), 0, False),
+    (Or(Neg(P), B), 0, True),
+    (At(Nom("a"), Diamond(fwd("r"), Or(P, B))), 2, True),
+    (Diamond(bwd("r"), Or(Nom("a"), X)), 1, True),
+]
+
+
+@pytest.mark.parametrize("f, w, want", LAZY)
+def test_evaluate_raises_only_where_reached(f, w, want):
+    assert outcome(lambda: direct_ev(FORK, w, f, {})) == want
+    assert outcome(lambda: evaluate(FORK, w, f)) == want
+
+
+def test_shared_evaluator_after_an_error():
+    shared = Evaluator(FORK)
+    for f, w, want in LAZY + LAZY:
+        assert outcome(lambda: shared.holds(w, f)) == want
+
+
+@pytest.mark.parametrize("seed", [11, 53])
+def test_validation_work_is_bounded(seed, monkeypatch):
+    """The two random-d8 problems whose check cost 25,673 and 11,818
+    evaluation calls by direct recursion (8 and 28 states)."""
+    q = preprocess(random_fragment_problem(seed, depth=8))
+    res = sat_branch_of(q)
+    calls = 0
+    inner = Evaluator._ev
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(Evaluator, "_ev", counted)
+    ok, _ = validate_extraction(res.branch, res.blocking, q)
+    assert ok and 0 < calls < 1000, calls
+
+
+def test_extraction_checks_match_direct_recursion(monkeypatch):
+    sat = 0
+    for seed in range(100):
+        q = preprocess(random_fragment_problem(seed, depth=8))
+        res = solve(q, Limits(timeout=20))
+        if res.verdict != "sat":
+            continue
+        sat += 1
+        ok, _ = validate_extraction(res.branch, res.blocking, q)
+        with monkeypatch.context() as patched:
+            patched.setattr(semantics, "evaluate", lambda m, w, f: direct_ev(m, w, f, {}))
+            want, _ = validate_extraction(res.branch, res.blocking, q)
+        assert ok == want, seed
+    assert sat >= 90
