@@ -85,6 +85,11 @@ class BlockInfo:
     top_noms: set
     groups: dict      # skeleton -> unblocked blockable nodes, in node order
 
+    def copy(self) -> "BlockInfo":
+        """A copy with its own lists; it shares the profiles and top nominals."""
+        return BlockInfo(self.direct[:], self.phantom[:], self.blocker[:], self.profiles,
+                         self.top_noms, {k: v[:] for k, v in self.groups.items()})
+
     def extend(self, labels, prec, blockable) -> None:
         """Decide the nodes from len(direct) on, in node order: a node is
         directly blocked by the least earlier unblocked node whose label

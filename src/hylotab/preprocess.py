@@ -31,17 +31,16 @@ from .parser import Problem
 class FreshNames:
     """Source of reserved-prefix names, distinct within one run."""
 
-    def __init__(self, prefix=FRESH_PREFIX):
-        self.prefix = prefix
+    def __init__(self):
         self.counter = 0
 
     def nominal(self) -> str:
         self.counter += 1
-        return "%s%d" % (self.prefix, self.counter)
+        return "%s%d" % (FRESH_PREFIX, self.counter)
 
     def variable(self) -> str:
         self.counter += 1
-        return "%sv%d" % (self.prefix, self.counter)
+        return "%sv%d" % (FRESH_PREFIX, self.counter)
 
 
 def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames | None = None) -> Formula:

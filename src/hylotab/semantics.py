@@ -61,9 +61,6 @@ class Interpretation:
             return base
         return {(v, w) for (w, v) in base}
 
-    def successors(self, rel, w):
-        return {v for (u, v) in self.pairs(rel) if u == w}
-
 
 def evaluate(model: Interpretation, w, f: Formula, sigma: dict | None = None) -> bool:
     """Truth of f at state w under variable assignment sigma.  To check
@@ -74,7 +71,7 @@ def evaluate(model: Interpretation, w, f: Formula, sigma: dict | None = None) ->
 
 class Evaluator:
     """Truth of formulas in one model.  Successor sets are built once per
-    relation, in the insertion order of `Interpretation.successors`; the
+    relation, in one pass over `Interpretation.pairs`, in its order; the
     truth of each modal, global and @ operand is kept per (operand,
     state, assignment), the assignment a sorted tuple built when a binder
     binds.  Operators short-circuit as in a direct recursion, so EvalError
@@ -485,15 +482,18 @@ def saturation_violations(branch, blocking) -> list:
 # Serialization
 
 def format_model(model: Interpretation) -> str:
+    """The model in the format `parse_model` reads: each state written as
+    its position in sorted order, so states 0..N-1 keep their numbers."""
+    pos = {w: n for n, w in enumerate(sorted(model.states))}
     lines = ["states %d" % len(model.states)]
     for a in sorted(model.nom):
-        lines.append("nominal %s %s" % (a, model.nom[a]))
+        lines.append("nominal %s %d" % (a, pos[model.nom[a]]))
     for w in sorted(model.states):
         for p in sorted(model.val.get(w, frozenset())):
-            lines.append("label %s %s" % (w, p))
+            lines.append("label %d %s" % (pos[w], p))
     for r in sorted(model.rho):
         for (u, v) in sorted(model.rho[r]):
-            lines.append("edge %s %s %s" % (r, u, v))
+            lines.append("edge %s %d %d" % (r, pos[u], pos[v]))
     return "\n".join(lines) + "\n"
 
 

@@ -143,22 +143,39 @@ def _is_eq(lab) -> bool:
     return isinstance(lab.body, Nom) and lab.body.name != lab.nom
 
 
-class Index:
-    """The views of a branch that `step` reads, kept up to date instead of
-    rebuilt on every step.  The label views depend on the labels alone:
-    `add` extends them and `rename` patches them after a substitution.
-    The live views depend on blocking too: `Branch.blocking` extends them.
-    A substitution or a new Prop or Box label keeps them unless a blocking
-    decision may change (`keeps`); a split copy takes a copy of them.
+class Branch:
+    """Mutable branch state.  Node order is creation order; `prec` holds
+    each node's offspring parent (None for root nodes).
+
+    The views that `step` reads are kept up to date instead of rebuilt on
+    every step.  The label views depend on the labels alone: `add` extends
+    them and `substitute` patches them.  The live views depend on blocking
+    too: `blocking` extends them.  A substitution or a new Prop or Box
+    label keeps them unless a blocking decision may change (`keeps`); a
+    split copy takes a copy of them.
+
+    `closure_witness`, `copy`, `substitute` and `trace` are wrapped by
+    name by the benchmark's tracer (`perfbench/tracing.py`).
     """
 
     def __init__(self):
-        self.clash = None          # first contradictory pair
-        self.lits: dict = {}       # (nominal, prop, positive?) -> first node
+        self.labels: list = []
+        self.prec: list = []
+        self.prov: list = []          # (rule name, premise node ids)
+        self.expanded: set = set()    # blockable nodes already expanded
+        self.incls: dict = {}         # Incl -> node id
+        self.trans: dict = {}         # transitive sym -> node id
+        self.rels: tuple = ()
+        self.subst_log: list = []     # (a, b) applied replacements
+        self.fresh_counter: int = 0
+        self.input_formula: Formula | None = None
+        # label views
+        self.clash = None             # first contradictory pair
+        self.lits: dict = {}          # (nominal, prop, positive?) -> first node
         self.blockable: list = []
-        self.classes: dict = {}    # skeleton -> blockable node ids, phantoms included
-        self.boxes: dict = {}      # nominal -> Box node ids, phantoms included
-        self.a_nodes: tuple = ()   # A node ids, phantoms included
+        self.classes: dict = {}       # skeleton -> blockable node ids, phantoms included
+        self.boxes: dict = {}         # nominal -> Box node ids, phantoms included
+        self.a_nodes: tuple = ()      # A node ids, phantoms included
         self.reset_live(None)
 
     def reset_live(self, info) -> None:
@@ -180,28 +197,28 @@ class Index:
         # add, as `npl` only grows and renaming commutes with those rules.
         self.seen = self.concl = self.link = self.split = self.witness = self.first = 0
 
-    def copy(self) -> "Index":
-        """A split copy's index, with its own views, cursors and BlockInfo
-        (whose profiles and top nominals are replaced, never changed)."""
+    def copy(self) -> "Branch":
+        """A split copy.  Every list, dict and set is its own, and so is
+        its BlockInfo; what they hold is immutable."""
         c = copy.copy(self)
-        c.lits, c.blockable, c.boxes, c.classes = (
-            dict(self.lits), list(self.blockable), dict(self.boxes), dict(self.classes))
-        c.live, c.npl, c.readings, c.first_at, c.done = (
-            list(self.live), set(self.npl), list(self.readings), dict(self.first_at), set(self.done))
+        for name, value in vars(self).items():
+            if isinstance(value, (list, dict, set)):
+                setattr(c, name, value.copy())
         if self.info is not None:
-            c.copied, i = True, self.info
-            c.info = BlockInfo(i.direct[:], i.phantom[:], i.blocker[:], i.profiles, i.top_noms,
-                               {k: v[:] for k, v in i.groups.items()})
+            c.info, c.copied = self.info.copy(), True
         return c
 
-    def add(self, labels, i) -> None:
-        lab = labels[i]
+    def add(self, lab, parent, rule, premises) -> int:
+        i = len(self.labels)
+        self.labels.append(lab)
+        self.prec.append(parent)
+        self.prov.append((rule, tuple(premises)))
         self.blockable.append(is_blockable(lab))
         if self.blockable[i]:
             skeleton = shape(lab.body)[0]
             self.classes[skeleton] = self.classes.get(skeleton, ()) + (i,)
         if not isinstance(lab, Sat):
-            return
+            return i
         f, lit = lab.body, _literal(lab.body)
         if _self_clash(lab):
             self.clash = self.clash or (i, i)
@@ -211,16 +228,18 @@ class Index:
                 self.clash = (i, j) if lit[1] else (j, i)
             self.lits.setdefault((lab.nom,) + lit, i)
         if isinstance(f, (Prop, Box)):
-            self.keeps(labels, {lab.nom})
+            self.keeps({lab.nom})
         if isinstance(f, Box):
             self.boxes[lab.nom] = self.boxes.get(lab.nom, ()) + (i,)
         elif isinstance(f, A):
             self.a_nodes += (i,)
+        return i
 
-    def keeps(self, labels, noms) -> bool:
+    def keeps(self, noms) -> bool:
         """Keep the live views when the profiles or top status of `noms`
         change?  Blocks are decided by `maps_to` between blockable nodes of
         one skeleton; if two such nodes exist and one mentions `noms`, reset."""
+        labels = self.labels
         if self.info is None or any(len(ids) > 1 and any(
                 labels[i].nom in noms or not noms.isdisjoint(nominals(labels[i].body))
                 for i in ids) for ids in self.classes.values()):
@@ -228,95 +247,6 @@ class Index:
             return False
         self.stale = True
         return True
-
-    def rename(self, labels, renamed, a, b) -> None:
-        """Patch the views after `Branch.substitute` renamed a to b in the
-        labels of the nodes `renamed`: a's literal and Box entries move to b,
-        and the clash may move to b's literal pairs or a renamed label."""
-        lits, props, owners = self.lits, set(), {a, b}
-        closers = [self.clash] if self.clash else []
-        for i in renamed:
-            lab, lit = labels[i], _literal(labels[i].body)
-            if _self_clash(lab):
-                closers.append((i, i))
-            elif lit is not None:
-                j = lits.pop((a,) + lit, None)
-                if j is not None:
-                    lits[(b,) + lit] = min(j, lits.get((b,) + lit, j))
-                    props.add(lit[0])
-            elif isinstance(lab.body, Box):
-                owners.add(lab.nom)  # its profile changes
-        closers += [(lits[(b, p, True)], lits[(b, p, False)]) for p in props
-                    if (b, p, True) in lits and (b, p, False) in lits]
-        # at a tie (one closing node), b's merged pair has the earlier nodes
-        self.clash = min(closers, key=lambda pair: (max(pair), pair), default=None)
-        if a in self.boxes:
-            self.boxes[b] = tuple(sorted(self.boxes.pop(a) + self.boxes.get(b, ())))
-        if self.keeps(labels, owners):
-            if a in self.info.top_noms:
-                self.info.top_noms = self.info.top_noms - {a} | {b}
-            self.readings = [
-                (m, b if x == a else x, r, b if y == a else y) for m, x, r, y in self.readings]
-            self.eq = next((i for i in self.live if _is_eq(labels[i])), None)
-            self.first_at, self.first = {}, 0
-
-    def add_live(self, labels) -> None:
-        """Append the non-phantom Sat nodes added since the last call."""
-        for i in range(self.seen, len(labels)):
-            lab = labels[i]
-            if isinstance(lab, Sat) and not self.info.phantom[i]:
-                self.live.append(i)
-                self.npl.add(lab)
-                if is_relational(lab):
-                    self.readings.extend((i,) + r for r in edge_readings(lab))
-                elif self.eq is None and _is_eq(lab):
-                    self.eq = i
-        self.seen = len(labels)
-
-    def first_occurrences(self, labels) -> dict:
-        """`first_at`, the label's nominal before its body's sorted ones."""
-        for i in self.live[self.first:]:
-            for nom in [labels[i].nom] + sorted(nominals(labels[i].body)):
-                self.first_at.setdefault(nom, i)
-        self.first = len(self.live)
-        return self.first_at
-
-
-class Branch:
-    """Mutable branch state.  Node order is creation order; `prec` holds
-    each node's offspring parent (None for root nodes).
-
-    `closure_witness`, `copy`, `substitute` and `trace` are wrapped by
-    name by the benchmark's tracer (`perfbench/tracing.py`).
-    """
-
-    def __init__(self):
-        self.labels: list = []
-        self.prec: list = []
-        self.prov: list = []          # (rule name, premise node ids)
-        self.expanded: set = set()    # blockable nodes already expanded
-        self.incls: dict = {}         # Incl -> node id
-        self.trans: dict = {}         # transitive sym -> node id
-        self.rels: tuple = ()
-        self.subst_log: list = []     # (a, b) applied replacements
-        self.fresh_counter: int = 0
-        self.input_formula: Formula | None = None
-        self.index = Index()
-
-    def copy(self) -> "Branch":
-        c = copy.copy(self)
-        c.labels, c.prec, c.prov = list(self.labels), list(self.prec), list(self.prov)
-        c.expanded, c.subst_log = set(self.expanded), list(self.subst_log)
-        c.index = self.index.copy()
-        return c
-
-    def add(self, lab, parent, rule, premises) -> int:
-        i = len(self.labels)
-        self.labels.append(lab)
-        self.prec.append(parent)
-        self.prov.append((rule, tuple(premises)))
-        self.index.add(self.labels, i)
-        return i
 
     def fresh_nominal(self) -> str:
         self.fresh_counter += 1
@@ -337,8 +267,10 @@ class Branch:
 
     def substitute(self, a: str, b: str) -> None:
         """Replace nominal a by b in the labels that hold it, and patch the
-        index over them; the other labels stay the same objects.  One memo
+        views over them; the other labels stay the same objects.  One memo
         serves the whole merge, so each distinct subterm is rebuilt once.
+        a's literal and Box entries move to b, and the clash may move to
+        b's literal pairs or a renamed label.
         """
         labels, renamed, memo = self.labels, [], {}
         for i, lab in enumerate(labels):
@@ -348,35 +280,79 @@ class Branch:
                     labels[i] = Sat(b if lab.nom == a else lab.nom, body)
                     renamed.append(i)
         self.subst_log.append((a, b))
-        self.index.rename(labels, renamed, a, b)
+        lits, props, owners = self.lits, set(), {a, b}
+        closers = [self.clash] if self.clash else []
+        for i in renamed:
+            lab, lit = labels[i], _literal(labels[i].body)
+            if _self_clash(lab):
+                closers.append((i, i))
+            elif lit is not None:
+                j = lits.pop((a,) + lit, None)
+                if j is not None:
+                    lits[(b,) + lit] = min(j, lits.get((b,) + lit, j))
+                    props.add(lit[0])
+            elif isinstance(lab.body, Box):
+                owners.add(lab.nom)  # its profile changes
+        closers += [(lits[(b, p, True)], lits[(b, p, False)]) for p in props
+                    if (b, p, True) in lits and (b, p, False) in lits]
+        # at a tie (one closing node), b's merged pair has the earlier nodes
+        self.clash = min(closers, key=lambda pair: (max(pair), pair), default=None)
+        if a in self.boxes:
+            self.boxes[b] = tuple(sorted(self.boxes.pop(a) + self.boxes.get(b, ())))
+        if self.keeps(owners):
+            if a in self.info.top_noms:
+                self.info.top_noms = self.info.top_noms - {a} | {b}
+            self.readings = [
+                (m, b if x == a else x, r, b if y == a else y) for m, x, r, y in self.readings]
+            self.eq = next((i for i in self.live if _is_eq(labels[i])), None)
+            self.first_at, self.first = {}, 0
 
     def blocking(self) -> BlockInfo:
         """The BlockInfo of the current labels: the last one extended over
         the new nodes, or recomputed once the live views were reset.  A
         split copy's snapshot is extended by `recompute_blocking` too: the
         benchmark's tracer reads the blocked-node counts from the last
-        BlockInfo that function returned.  The live views follow.
+        BlockInfo that function returned.  The live views then take in
+        the non-phantom Sat nodes added since the last call.
         """
-        ix, labels = self.index, self.labels
-        if ix.stale:  # after a merge or a Prop or Box label that kept the live views
-            ix.info.profiles = nominal_profiles([lab for lab in labels if isinstance(lab, Sat)])
-            ix.npl, ix.stale = {labels[i] for i in ix.live}, False
-        if ix.info is None:
+        labels = self.labels
+        if self.stale:  # after a merge or a Prop or Box label that kept the live views
+            self.info.profiles = nominal_profiles([lab for lab in labels if isinstance(lab, Sat)])
+            self.npl, self.stale = {labels[i] for i in self.live}, False
+        if self.info is None:
             sat_labels = [lab for lab in labels if isinstance(lab, Sat)]
-            ix.reset_live(recompute_blocking(labels, self.prec, ix.blockable, self.top_noms, sat_labels))
-        elif ix.copied:
-            recompute_blocking(labels, self.prec, ix.blockable, None, None, ix.info)
-            ix.copied = False
+            self.reset_live(recompute_blocking(labels, self.prec, self.blockable, self.top_noms, sat_labels))
+        elif self.copied:
+            recompute_blocking(labels, self.prec, self.blockable, None, None, self.info)
+            self.copied = False
         else:
-            ix.info.extend(labels, self.prec, ix.blockable)
-        ix.add_live(labels)
-        return ix.info
+            self.info.extend(labels, self.prec, self.blockable)
+        for i in range(self.seen, len(labels)):
+            lab = labels[i]
+            if isinstance(lab, Sat) and not self.info.phantom[i]:
+                self.live.append(i)
+                self.npl.add(lab)
+                if is_relational(lab):
+                    self.readings.extend((i,) + r for r in edge_readings(lab))
+                elif self.eq is None and _is_eq(lab):
+                    self.eq = i
+        self.seen = len(labels)
+        return self.info
+
+    def first_occurrences(self) -> dict:
+        """`first_at`, the label's nominal before its body's sorted ones."""
+        labels = self.labels
+        for i in self.live[self.first:]:
+            for nom in [labels[i].nom] + sorted(nominals(labels[i].body)):
+                self.first_at.setdefault(nom, i)
+        self.first = len(self.live)
+        return self.first_at
 
     def closure_witness(self):
         """A pair of contradictory labels, or None if the branch is open.
         A label 'a: false also closes the branch.
         """
-        return self.index.clash
+        return self.clash
 
     def trace(self) -> list:
         lines = []
@@ -456,13 +432,12 @@ def step(branch: Branch):
         return ("closed", None)
 
     info = branch.blocking()
-    ix = branch.index
     labels = branch.labels
-    live, npl = ix.live, ix.npl
+    live, npl = branch.live, branch.npl
 
     # equality: a non-phantom node 'a: 'b merges the two nominals
-    if ix.eq is not None:
-        lab = labels[ix.eq]
+    if branch.eq is not None:
+        lab = labels[branch.eq]
         branch.substitute(lab.nom, lab.body.name)
         return ("applied", None)
 
@@ -473,11 +448,11 @@ def step(branch: Branch):
                 branch.add(c, branch.prec[k], rule, premises)
             return ("applied", None)
         if key is not None:
-            ix.done.add(key)
+            branch.done.add(key)
 
     # disjunction: split
-    for p in range(ix.split, len(live)):
-        ix.split = p
+    for p in range(branch.split, len(live)):
+        branch.split = p
         i = live[p]
         if isinstance(labels[i].body, Or):
             left, right = conclusions(labels[i])
@@ -487,13 +462,13 @@ def step(branch: Branch):
             branch.add(left, branch.prec[i], "or-left", (i,))
             other.add(right, other.prec[i], "or-right", (i,))
             return ("split", other)
-    ix.split = len(live)
+    branch.split = len(live)
 
     # witness rules, subject to single expansion and direct blocking
-    for p in range(ix.witness, len(live)):
-        ix.witness = p
+    for p in range(branch.witness, len(live)):
+        branch.witness = p
         i = live[p]
-        if not ix.blockable[i] or i in branch.expanded or info.direct[i]:
+        if not branch.blockable[i] or i in branch.expanded or info.direct[i]:
             continue
         branch.expanded.add(i)
         lab = labels[i]
@@ -505,7 +480,7 @@ def step(branch: Branch):
             branch.add(edge_label(lab.nom, f.rel, w), i, "dia", (i,))
             branch.add(Sat(w, f.sub), i, "dia", (i,))
         return ("applied", None)
-    ix.witness = len(live)
+    branch.witness = len(live)
 
     return ("done", info)
 
@@ -517,31 +492,30 @@ def _extensions(branch: Branch):
     yet on the branch as offspring of `branch.prec[k]`, or else marks the
     key done.  Premises are live nodes, except the major premise of box, A
     and Trans (the Box or A node), which may be a phantom.  The and/at/down
-    and Link instances start at their index cursors (key None); box, A and
+    and Link instances start at their cursors (key None); box, A and
     Trans instances marked done are skipped.
     """
-    ix = branch.index
     labels = branch.labels
-    live, readings, done = ix.live, ix.readings, ix.done
-    for p in range(ix.concl, len(live)):
-        ix.concl = p
+    live, readings, done = branch.live, branch.readings, branch.done
+    for p in range(branch.concl, len(live)):
+        branch.concl = p
         i = live[p]
         rule = _RULE.get(type(labels[i].body))
         if rule is not None:
             yield conclusions(labels[i]), i, rule, (i,), None
-    ix.concl = len(live)
+    branch.concl = len(live)
 
     # containment propagation along edges
-    for p in range(ix.link, len(readings)):
-        ix.link = p
+    for p in range(branch.link, len(readings)):
+        branch.link = p
         m, x, rel, y = readings[p]
         for inc, k in branch.incls.items():
             if inc.left == rel:
                 yield (edge_label(x, fwd(inc.right), y),), m, "Link", (m, k), None
-    ix.link = len(readings)
+    branch.link = len(readings)
 
     # box along matching edges
-    boxes = ix.boxes
+    boxes = branch.boxes
     for p, (m, x, rel, y) in enumerate(readings):
         for j in boxes.get(x, ()):
             g = labels[j].body
@@ -550,9 +524,9 @@ def _extensions(branch: Branch):
 
     # global box: focus on each nominal of a live node in turn, minor
     # premise the first live node it occurs in
-    if ix.a_nodes:
-        first_at = ix.first_occurrences(labels)
-        for j in ix.a_nodes:
+    if branch.a_nodes:
+        first_at = branch.first_occurrences()
+        for j in branch.a_nodes:
             for nom, k in first_at.items():
                 if ("A", j, nom) not in done:
                     yield (Sat(nom, labels[j].body.sub),), k, "A", (j, k), ("A", j, nom)

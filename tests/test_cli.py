@@ -142,6 +142,23 @@ def test_validate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "problem",
+    ["formula: <r>^1 p & [r] (q | p) & <r>^2 q;",
+     "trans r; r <= s; r- <= s;\nformula: <r> <r> p & [r] !q & <s-> q;"],
+    ids=["graded", "trans-incl-converse"],
+)
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_printed_model_passes_model_check(tmp_path, capsys, problem, command):
+    f = write(tmp_path, "p.hl", problem)
+    argv = ["solve", "--model", f] if command == "solve" else ["validate", f]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    model = write(tmp_path, "m.txt", out[out.index("states "):])
+    assert main(["model-check", model, f]) == 0
+    assert first_line(capsys) == "RESULT: VALID"
+
+
+@pytest.mark.parametrize(
     "model",
     ["nominal a", "edge r 0", "label 0", "states", "states 1\nnominal a 5",
      "states 2\nedge r 0 2", "states 1\nlabel 1 p"],

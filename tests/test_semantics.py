@@ -241,8 +241,8 @@ def test_saturation_detects_missing_expansion():
 
 def direct_ev(m, w, f, sigma):
     """Truth of f at w by direct recursion: every operand is evaluated
-    afresh at each state it is needed, and successor sets come from
-    `Interpretation.successors`."""
+    afresh at each state it is needed, and successor sets are read off
+    `Interpretation.pairs` at each use."""
     if isinstance(f, Prop):
         return f.name in m.val.get(w, frozenset())
     if isinstance(f, Nom):
@@ -264,12 +264,12 @@ def direct_ev(m, w, f, sigma):
     if isinstance(f, Or):
         return direct_ev(m, w, f.left, sigma) or direct_ev(m, w, f.right, sigma)
     if isinstance(f, Diamond):
-        succs = m.successors(f.rel, w)
+        succs = {v for (u, v) in m.pairs(f.rel) if u == w}
         if f.grade is None:
             return any(direct_ev(m, v, f.sub, sigma) for v in succs)
         return sum(1 for v in succs if direct_ev(m, v, f.sub, sigma)) >= f.grade + 1
     if isinstance(f, Box):
-        succs = m.successors(f.rel, w)
+        succs = {v for (u, v) in m.pairs(f.rel) if u == w}
         if f.grade is None:
             return all(direct_ev(m, v, f.sub, sigma) for v in succs)
         return sum(1 for v in succs if not direct_ev(m, v, f.sub, sigma)) <= f.grade

@@ -1,7 +1,7 @@
 import pytest
 
 from hylotab import tableau
-from hylotab.blocking import recompute_blocking
+from hylotab.blocking import BlockInfo, recompute_blocking
 from hylotab.formulas import (
     A, And, At, Bot, Box, Diamond, Down, Incl, Neg, Nom, Or, Prop, Trans, Var, bwd, fwd, nominals,
     shape, subst_nom,
@@ -199,7 +199,7 @@ def test_stats_name_the_limit_that_fired(limits, want):
     assert res.verdict == ("sat" if want is None else "limit")
 
 
-# -- the branch index against from-scratch views ------------------------------
+# -- the branch views against from-scratch views ------------------------------
 
 def ref_closure(labels):
     """The first contradictory pair in node order, by a full scan."""
@@ -233,60 +233,60 @@ def scratch_blocking(labels, prec):
 
 
 def check_index(branch):
-    """Compare the index with from-scratch views; call `branch.blocking()`
+    """Compare the branch's views with from-scratch ones; call `branch.blocking()`
     first, so that the live views cover every node.
     """
-    labels, ix = branch.labels, branch.index
+    labels = branch.labels
     assert branch.closure_witness() == ref_closure(labels)
-    assert ix.blockable == [is_blockable(lab) for lab in labels]
+    assert branch.blockable == [is_blockable(lab) for lab in labels]
     boxes, classes = {}, {}
     for i, lab in enumerate(labels):
         if isinstance(lab, Sat) and isinstance(lab.body, Box):
             boxes.setdefault(lab.nom, []).append(i)
         if is_blockable(lab):
             classes.setdefault(shape(lab.body)[0], []).append(i)
-    assert ix.boxes == {a: tuple(ids) for a, ids in boxes.items()}
-    assert ix.classes == {k: tuple(ids) for k, ids in classes.items()}
-    assert ix.a_nodes == tuple(
+    assert branch.boxes == {a: tuple(ids) for a, ids in boxes.items()}
+    assert branch.classes == {k: tuple(ids) for k, ids in classes.items()}
+    assert branch.a_nodes == tuple(
         i for i, lab in enumerate(labels) if isinstance(lab, Sat) and isinstance(lab.body, A)
     )
-    assert ix.seen == len(labels) and not ix.copied
+    assert branch.seen == len(labels) and not branch.copied
     # decisions, profiles of all labels, top nominals and skeleton groups
     info = scratch_blocking(labels, branch.prec)
-    assert ix.info == info
+    assert branch.info == info
     live = [i for i, lab in enumerate(labels) if isinstance(lab, Sat) and not info.phantom[i]]
     npl = {labels[i] for i in live}
-    assert ix.live == live
-    assert ix.npl == npl
-    assert ix.readings == [
+    assert branch.live == live
+    assert branch.npl == npl
+    assert branch.readings == [
         (m,) + r for m in live if is_relational(labels[m]) for r in edge_readings(labels[m])
     ]
     eqs = [i for i in live if isinstance(labels[i].body, Nom) and labels[i].body.name != labels[i].nom]
-    assert ix.eq == (eqs[0] if eqs else None)
+    assert branch.eq == (eqs[0] if eqs else None)
     first_at = {}
     for i in live:
         for a in [labels[i].nom] + sorted(nominals(labels[i].body)):
             first_at.setdefault(a, i)
-    assert list(ix.first_occurrences(labels).items()) == list(first_at.items())
+    assert list(branch.first_occurrences().items()) == list(first_at.items())
     # the cursors only pass nodes whose rule has nothing left to add
-    for i in live[: ix.concl]:
+    for i in live[: branch.concl]:
         assert set(conclusions(labels[i])) <= npl or isinstance(labels[i].body, Or)
-    for _m, x, rel, y in ix.readings[: ix.link]:
+    for _m, x, rel, y in branch.readings[: branch.link]:
         assert all(edge_label(x, fwd(c.right), y) in npl for c in branch.incls if c.left == rel)
-    for i in live[: ix.split]:
+    for i in live[: branch.split]:
         if isinstance(labels[i].body, Or):
             assert set(conclusions(labels[i])) & npl
-    for i in live[: ix.witness]:
-        assert not ix.blockable[i] or i in branch.expanded or ix.info.direct[i]
+    for i in live[: branch.witness]:
+        assert not branch.blockable[i] or i in branch.expanded or branch.info.direct[i]
     # box, A and Trans instances marked done have their conclusion in npl;
     # an A mark of a nominal merged away since names no instance any more
-    for key in ix.done:
+    for key in branch.done:
         if key[0] == "A":
             _rule, j, nom = key
             assert nom not in first_at or Sat(nom, labels[j].body.sub) in npl
             continue
         rule, p, j = key
-        _m, x, rel, y = ix.readings[p]
+        _m, x, rel, y = branch.readings[p]
         g = labels[j].body
         assert labels[j].nom == x and isinstance(g, Box)
         if rule == "box":
@@ -459,15 +459,15 @@ def test_index_matches_from_scratch_views(monkeypatch):
         merges = len(branch.subst_log)
         status, other = real_step(branch)
         if len(branch.subst_log) > merges:
-            seen["kept merges" if branch.index.info else "reset merges"] += 1
-        if branch.index.info is None:  # the step reset the live views
-            assert not branch.index.done
-        seen["marks"] += len(branch.index.done)
+            seen["kept merges" if branch.info else "reset merges"] += 1
+        if branch.info is None:  # the step reset the live views
+            assert not branch.done
+        seen["marks"] += len(branch.done)
         # the next step's blocking() then extends over nothing
         branch.blocking()
         check_index(branch)
         if status == "split":
-            seen["kept splits"] += other.index.copied
+            seen["kept splits"] += other.copied
             other.blocking()
             check_index(other)
         seen["steps"] += 1
@@ -482,3 +482,45 @@ def test_index_matches_from_scratch_views(monkeypatch):
         solve(prepared, LIMITS)
     assert seen["steps"] > 2000 and seen["kept merges"] > 200 and seen["kept splits"] > 200
     assert seen["reset merges"] > 0 and seen["marks"] > 1000
+
+
+def mutable_parts(value, out):
+    """Add to `out` the ids of the lists, dicts and sets reachable from
+    `value` through them, tuples and BlockInfo fields; labels are
+    immutable and not entered.  A BlockInfo's profiles and top nominals
+    are left out: they are replaced, never changed in place, so a split
+    copy may share them."""
+    if isinstance(value, BlockInfo):
+        value = tuple(v for k, v in vars(value).items() if k not in ("profiles", "top_noms"))
+    elif isinstance(value, (list, dict, set)):
+        out.add(id(value))
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            mutable_parts(item, out)
+    return out
+
+
+def test_split_copy_shares_no_mutable_state(monkeypatch):
+    """Checked at every split of the golden corpus: the copy's containers,
+    its BlockInfo's lists and skeleton groups included, are its own."""
+    real_copy, splits = Branch.copy, 0
+
+    def checked(branch):
+        nonlocal splits
+        other = real_copy(branch)
+        assert vars(other).keys() == vars(branch).keys()
+        mine = mutable_parts(tuple(vars(branch).values()), set())
+        assert mine and not mine & mutable_parts(tuple(vars(other).values()), set())
+        splits += 1
+        return other
+
+    monkeypatch.setattr(Branch, "copy", checked)
+    for _pid, problem in corpus():
+        try:
+            prepared = preprocess(problem)
+        except FragmentError:
+            continue
+        solve(prepared, LIMITS)
+    assert splits > 200
