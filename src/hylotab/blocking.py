@@ -1,10 +1,13 @@
 """Node blocking: nominal compatibility, label mappings, and the
 computation of directly blocked and phantom nodes.
 
-Direct blocking identifies a node whose label is a nominal renaming of
-an earlier unblocked node's label; descendants of blocked nodes (along
-the offspring relation) become phantoms.  Both sets come from one pass
-over the nodes in creation order (`BlockInfo.extend`).  A node depends
+Following the source paper's definitions, the offspring of blocked
+nodes are phantoms, and a node that is not a phantom is directly blocked
+when its label is a nominal renaming of an earlier unblocked node's
+label.  Both sets come from one pass over the nodes in creation order
+(`BlockInfo.extend`), which decides phantom status first: a phantom is
+never also directly blocked, and the offspring parent of every
+non-phantom node is itself unblocked.  A node depends
 only on earlier nodes, the nominal profiles and the top nominals, so
 while those stay the same the pass continues over new nodes instead of
 starting again.
@@ -91,27 +94,29 @@ class BlockInfo:
                          self.top_noms, {k: v[:] for k, v in self.groups.items()})
 
     def extend(self, labels, prec, blockable) -> None:
-        """Decide the nodes from len(direct) on, in node order: a node is
-        directly blocked by the least earlier unblocked node whose label
-        maps to its own; a phantom is a non-directly-blocked node whose
-        offspring parent is blocked or a phantom.
+        """Decide the nodes from len(direct) on, in node order.  Phantom
+        status comes first: as in the source paper, the phantoms are the
+        offspring of blocked nodes, so a node whose offspring parent is
+        blocked or a phantom is a phantom and is never itself directly
+        blocked.  Any other blockable node is directly blocked by the
+        least earlier unblocked node whose label maps to its own.
         """
         direct, phantom, blocker = self.direct, self.phantom, self.blocker
         for i in range(len(direct), len(labels)):
+            a = prec[i]
+            phantom_i = a is not None and (direct[a] or phantom[a])
             hit = None
-            if blockable[i]:
+            if blockable[i] and not phantom_i:
                 group = self.groups.setdefault(shape(labels[i].body)[0], [])
                 for m in group:
                     if maps_to(labels[m], labels[i], self.top_noms, self.profiles):
                         hit = m
                         break
-            a = prec[i]
-            phantom_i = hit is None and a is not None and (direct[a] or phantom[a])
+                else:
+                    group.append(i)
             direct.append(hit is not None)
             phantom.append(phantom_i)
             blocker.append(hit)
-            if blockable[i] and hit is None and not phantom_i:
-                group.append(i)
 
 
 def recompute_blocking(labels, prec, blockable, top_noms, sat_labels, start=None) -> BlockInfo:

@@ -189,16 +189,14 @@ def functionality_formula() -> Formula:
 # ---------------------------------------------------------------------------
 # Deterministic random problems in the binder fragment
 
-def random_fragment_problem(
-    seed: int,
-    depth: int = 5,
-    rels=("r", "s"),
-    props=("p", "q"),
-    noms=("a", "b"),
-) -> Problem:
-    """A random ground NNF problem where no binder scopes over a
-    universal operator, with random transitivity and containment
-    assertions.  Fully determined by the seed.
+# The vocabulary of the random problems.
+RELS, PROPS, NOMS = ("r", "s"), ("p", "q"), ("a", "b")
+
+
+def random_fragment_problem(seed: int, depth: int = 5) -> Problem:
+    """A random ground NNF problem over RELS, PROPS and NOMS where no
+    binder scopes over a universal operator, with random transitivity
+    and containment assertions.  Fully determined by the seed.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative, not %d" % depth)
@@ -207,19 +205,19 @@ def random_fragment_problem(
     def atom():
         kind = rng.randrange(6)
         if kind == 0:
-            return Prop(rng.choice(props))
+            return Prop(rng.choice(PROPS))
         if kind == 1:
-            return Neg(Prop(rng.choice(props)))
+            return Neg(Prop(rng.choice(PROPS)))
         if kind == 2:
-            return Nom(rng.choice(noms))
+            return Nom(rng.choice(NOMS))
         if kind == 3:
-            return Neg(Nom(rng.choice(noms)))
+            return Neg(Nom(rng.choice(NOMS)))
         if kind == 4:
             return Top()
-        return Prop(rng.choice(props))
+        return Prop(rng.choice(PROPS))
 
     def rel():
-        base = rng.choice(rels)
+        base = rng.choice(RELS)
         return bwd(base) if rng.random() < 0.3 else fwd(base)
 
     def build(d, bound, universal_ok):
@@ -241,20 +239,20 @@ def random_fragment_problem(
         if op in ("dia", "box"):
             return (Diamond if op == "dia" else Box)(rel(), sub())
         if op == "at":
-            return At(Nom(rng.choice(noms)), sub())
+            return At(Nom(rng.choice(NOMS)), sub())
         return (E if op == "e" else A)(sub())
 
     f = build(depth, frozenset(), True)
     assertions = []
-    for r in rels:
+    for r in RELS:
         if rng.random() < 0.3:
             assertions.append(Trans(r))
-    for r, s in itertools.permutations(rels, 2):
+    for r, s in itertools.permutations(RELS, 2):
         if rng.random() < 0.25:
             assertions.append(Incl(fwd(r), s))
         if rng.random() < 0.15:
             assertions.append(Incl(bwd(r), s))
-    return Problem(assertions, f, set(rels))
+    return Problem(assertions, f, set(RELS))
 
 
 # ---------------------------------------------------------------------------

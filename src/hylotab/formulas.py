@@ -1,5 +1,5 @@
 """Formula and assertion ASTs, negation normal form, substitutions and
-subformula closure for multi-modal hybrid logic.
+inspection helpers for multi-modal hybrid logic.
 
 Formulas are immutable trees with structural equality, so they can be
 used freely as dict keys and set members (label comparison is pervasive
@@ -360,64 +360,3 @@ def size(f: Formula) -> int:
     """
     return sum(1 for _ in walk(f))
 
-
-# ---------------------------------------------------------------------------
-# Subformula closure w.r.t. a relation vocabulary
-
-def subformula_closure(f: Formula, rels: frozenset | set) -> frozenset:
-    """Subformulas of f, closed under relation renaming of boxes: for each
-    subformula Box_R G, every Box_S G with S a forward or backward
-    relation over `rels` is included.  Size is at most 2 * |rels| * size(f).
-    """
-    rels = frozenset(rels)
-    out: set = set()
-    _closure(f, rels, out)
-    return frozenset(out)
-
-
-def _closure(f: Formula, rels: frozenset, out: set) -> None:
-    if f in out:
-        return
-    out.add(f)
-    if isinstance(f, Box):
-        for s in rels:
-            out.add(Box(fwd(s), f.sub, f.grade))
-            out.add(Box(bwd(s), f.sub, f.grade))
-    for g in children(f):
-        _closure(g, rels, out)
-
-
-def is_instance_of(g: Formula, f: Formula) -> bool:
-    """True iff g can be obtained from f by uniformly replacing the free
-    variables of f with nominals.
-    """
-    assignment: dict = {}
-    return _match_instance(g, f, frozenset(), assignment)
-
-
-def _match_instance(g, f, bound, assignment) -> bool:
-    if isinstance(f, Var) and f.name not in bound:
-        if not isinstance(g, Nom):
-            return False
-        if f.name in assignment:
-            return assignment[f.name] == g.name
-        assignment[f.name] = g.name
-        return True
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, ATOMS):
-        return f == g
-    if isinstance(f, Down):
-        return f.var == g.var and _match_instance(g.sub, f.sub, bound | {f.var}, assignment)
-    if isinstance(f, At):
-        return _match_instance(g.at, f.at, bound, assignment) and _match_instance(
-            g.sub, f.sub, bound, assignment
-        )
-    if isinstance(f, (Diamond, Box)):
-        if f.rel != g.rel or f.grade != g.grade:
-            return False
-        return _match_instance(g.sub, f.sub, bound, assignment)
-    return all(
-        _match_instance(gc, fc, bound, assignment)
-        for gc, fc in zip(children(g), children(f))
-    )

@@ -1,12 +1,12 @@
 """Syntactic fragment detection: the binder/universal-operator patterns
 that govern decidability, and the restrictions on graded modalities.
 
-All detectors expect NNF input; "scope" is plain AST dominance (an
+The detection expects NNF input; "scope" is plain AST dominance (an
 @-jump does not cut scope).  Universal operators are [R], [A] and the
 graded [R]^n.  One preorder pass (`scan`) finds every witness, and also
 whether a graded operator occurs and which variables are free: it is
-the one syntactic check of every pipeline stage.  The detectors and
-`classify` are views on it.
+the one syntactic check of every pipeline stage, and `classify` is a
+view on it.
 """
 
 from __future__ import annotations
@@ -27,19 +27,24 @@ class FragmentError(ValueError):
         self.witnesses = witnesses or []
 
 
-def is_universal(f: Formula) -> bool:
-    return isinstance(f, (Box, A))
-
-
 @dataclass
 class Scan:
     """Witnesses of one formula, each list in preorder of its nodes."""
 
-    box_down_box: list = field(default_factory=list)  # binders under and over a universal
-    down_box: list = field(default_factory=list)      # binders over a universal
-    graded: list = field(default_factory=list)        # graded restriction violations
-    grades: bool = False                              # a graded operator occurs
-    free: set = field(default_factory=set)            # free variables, @x prefixes included
+    # The undecidability trigger: binders that lie under a universal and
+    # scope over one.
+    box_down_box: list = field(default_factory=list)
+    # Binders that scope over a universal (`tau` skolemizes these).
+    down_box: list = field(default_factory=list)
+    # Violations of the restrictions under which graded modalities stay
+    # decidable:
+    #   1a. no graded box occurs in the scope of a universal operator,
+    #   1b. no graded box body contains a binder scoping over a universal,
+    #   2.  every graded diamond either occurs under no universal operator
+    #       or has a body free of universal operators.
+    graded: list = field(default_factory=list)
+    grades: bool = False                    # a graded operator occurs
+    free: set = field(default_factory=set)  # free variables, @x prefixes included
 
 
 def scan(f: Formula) -> Scan:
@@ -64,7 +69,7 @@ def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> t
         return False, False
     if isinstance(f, Down):
         bound = bound | {f.var}
-    universal = is_universal(f)
+    universal = isinstance(f, (Box, A))
     marks = (len(out.box_down_box), len(out.down_box), len(out.graded))
     has_universal = has_down_box = False
     for i, g in enumerate(subs):
@@ -89,39 +94,13 @@ def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> t
     return has_universal or universal, has_down_box
 
 
-def detect_down_box(f: Formula) -> tuple[bool, list]:
-    """The pattern: a binder scoping over a universal operator."""
-    witnesses = scan(f).down_box
-    return bool(witnesses), witnesses
-
-
-def detect_box_down_box(f: Formula) -> tuple[bool, list]:
-    """The undecidability trigger: a binder that both lies under a
-    universal operator and scopes over one.
-    """
-    witnesses = scan(f).box_down_box
-    return bool(witnesses), witnesses
-
-
-def check_graded_restrictions(f: Formula) -> tuple[bool, list]:
-    """Restrictions under which graded modalities stay decidable:
-
-    1a. no graded box occurs in the scope of a universal operator,
-    1b. no graded box body contains a binder scoping over a universal,
-    2.  every graded diamond either occurs under no universal operator
-        or has a body free of universal operators.
-    """
-    witnesses = scan(f).graded
-    return not witnesses, witnesses
-
-
 @dataclass
 class FragmentVerdict:
     has_box_down_box: bool
     has_down_box: bool
     graded_ok: bool
     witnesses: list = field(default_factory=list)
-    formula: Formula | None = None  # the NNF the detectors ran on
+    formula: Formula | None = None  # the NNF that was scanned
 
     @property
     def preprocessable(self) -> bool:
@@ -129,7 +108,7 @@ class FragmentVerdict:
 
 
 def classify(problem) -> FragmentVerdict:
-    """Run all detectors on the NNF of the problem's formula."""
+    """Scan the NNF of the problem's formula."""
     f = nnf(problem.formula)
     s = scan(f)
     return FragmentVerdict(

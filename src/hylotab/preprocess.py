@@ -43,7 +43,7 @@ class FreshNames:
         return "%sv%d" % (FRESH_PREFIX, self.counter)
 
 
-def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames | None = None) -> Formula:
+def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames) -> Formula:
     """(at least n+1 successors satisfying f), written with the binder:
 
         n=0:  <R> f
@@ -55,7 +55,6 @@ def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames |
         raise ValueError("grade must be nonnegative")
     if n == 0:
         return Diamond(rel, f)
-    fresh = fresh or FreshNames()
     x = fresh.variable()
     ys = [fresh.variable() for _ in range(n)]
 
@@ -72,7 +71,7 @@ def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames |
     return Down(x, Diamond(rel, chain(0)))
 
 
-def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames | None = None) -> Formula:
+def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames) -> Formula:
     """(at most n exceptions), avoiding a box over the binder chain:
 
         n=0:  [R] f
@@ -84,7 +83,6 @@ def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames | Non
         raise ValueError("grade must be nonnegative")
     if n == 0:
         return Box(rel, f)
-    fresh = fresh or FreshNames()
     x = fresh.variable()
     ys = [fresh.variable() for _ in range(n)]
 
@@ -117,7 +115,7 @@ def expand_grades(f: Formula, fresh: FreshNames) -> Formula:
     return _rebuild(f, subs)
 
 
-def tau(f: Formula, fresh: FreshNames | None = None) -> Formula:
+def tau(f: Formula, fresh: FreshNames) -> Formula:
     """Skolemizing translation: a binder whose body contains a universal
     operator is replaced by a fresh nominal naming the bound state.
     Homomorphic on conjunction, disjunction, @, diamonds and E; the
@@ -133,7 +131,7 @@ def tau(f: Formula, fresh: FreshNames | None = None) -> Formula:
             "input contains a universal-binder-universal nesting", found.box_down_box
         )
     critical = {path for _, path in found.down_box}
-    return _tau(f, (), critical, fresh or FreshNames())
+    return _tau(f, (), critical, fresh)
 
 
 def _tau(f: Formula, path: tuple, critical: set, fresh: FreshNames) -> Formula:

@@ -253,7 +253,6 @@ def _orient(pairs: set, rel) -> set:
 class Extraction:
     model: Interpretation
     resolve: dict        # original nominal -> representative after merges
-    redirects: int       # edges added for blocked witness nodes
 
 
 def extract_model(branch, blocking) -> Extraction:
@@ -275,7 +274,6 @@ def extract_model(branch, blocking) -> Extraction:
     # witness edges for directly blocked diamond nodes, borrowed from
     # the blocker's expansion
     extra = []
-    redirects = 0
     for i in range(n):
         lab = labels[i]
         if not (nonph[i] and blocking.direct[i] and isinstance(lab, Sat)):
@@ -288,7 +286,6 @@ def extract_model(branch, blocking) -> Extraction:
                 for (x, rel, y) in edge_readings(labels[c]):
                     if x == labels[m].nom and rel == labels[m].body.rel:
                         extra.append(edge_label(lab.nom, lab.body.rel, y))
-                        redirects += 1
                         break
                 break
 
@@ -345,7 +342,7 @@ def extract_model(branch, blocking) -> Extraction:
         nom,
         {w: frozenset(ps) for w, ps in val.items()},
     )
-    return Extraction(model, resolve, redirects)
+    return Extraction(model, resolve)
 
 
 def validate_extraction(branch, blocking, problem) -> tuple[bool, Extraction]:

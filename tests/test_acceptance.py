@@ -27,13 +27,14 @@ from hylotab.formulas import (
     Or,
     Prop,
     Var,
+    bwd,
+    children,
     fwd,
     nnf,
     shape,
     size,
-    subformula_closure,
 )
-from hylotab.fragments import classify, detect_box_down_box
+from hylotab.fragments import classify, scan
 from hylotab.parser import Problem, parse, parse_formula
 from hylotab.preprocess import (
     FragmentError,
@@ -252,6 +253,40 @@ def test_criterion_7_termination_and_graded_equivalence():
 
 # -- 8: the subformula set bound --------------------------------------------
 
+def subformula_closure(f, rels):
+    """Subformulas of f, closed under relation renaming of boxes: for each
+    subformula Box_R G, every Box_S G with S a forward or backward
+    relation over `rels` is included.  Size is at most 2 * |rels| * size(f).
+    """
+    out = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in out:
+            continue
+        out.add(g)
+        if isinstance(g, Box):
+            for s in rels:
+                out.add(Box(fwd(s), g.sub, g.grade))
+                out.add(Box(bwd(s), g.sub, g.grade))
+        stack.extend(children(g))
+    return frozenset(out)
+
+
+def test_subformula_closure_renames_boxes():
+    f = Box(fwd("r"), Prop("p"))
+    cl = subformula_closure(f, {"r", "s"})
+    assert Box(fwd("s"), Prop("p")) in cl
+    assert Box(bwd("r"), Prop("p")) in cl
+    assert Prop("p") in cl
+
+
+def test_closure_bound():
+    f = And(Box(fwd("r"), Diamond(fwd("s"), Prop("p"))), Box(bwd("s"), Prop("q")))
+    rels = {"r", "s"}
+    assert len(subformula_closure(f, rels)) <= 2 * len(rels) * size(f)
+
+
 def test_criterion_8_closure_bound():
     violations = []
     for seed in range(100):
@@ -273,8 +308,8 @@ def test_criterion_9_fragment_gates():
     rejected = not verdict.preprocessable and any(
         "1a" in name for name, _ in verdict.witnesses
     )
-    no_bdb = not detect_box_down_box(nnf(tiling.formula))[0]
-    flagged = detect_box_down_box(nnf(functionality_formula()))[0]
+    no_bdb = not scan(nnf(tiling.formula)).box_down_box
+    flagged = bool(scan(nnf(functionality_formula())).box_down_box)
     ok = rejected and no_bdb and flagged
     report(9, "fragment gates", ok,
            "tiling rejected=%s, tiling free of critical nesting=%s, "

@@ -19,7 +19,7 @@ from hylotab.formulas import (
     fwd,
     nnf,
 )
-from hylotab.fragments import detect_down_box, scan
+from hylotab.fragments import scan
 from hylotab.parser import parse, print_problem
 from hylotab.semantics import Interpretation, evaluate
 
@@ -69,7 +69,7 @@ def test_random_problems_deterministic_and_in_fragment():
         p2 = random_fragment_problem(seed)
         assert p1.formula == p2.formula and p1.assertions == p2.assertions
         assert not scan(p1.formula).free
-        assert not detect_down_box(nnf(p1.formula))[0]
+        assert not scan(nnf(p1.formula)).down_box
 
 
 def test_random_problems_vary():

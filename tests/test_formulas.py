@@ -24,14 +24,12 @@ from hylotab.formulas import (
     bwd,
     children,
     fwd,
-    is_instance_of,
     nnf,
     nominals,
     props,
     rel_syms,
     shape,
     size,
-    subformula_closure,
     subst_nom,
     subst_var,
     walk,
@@ -173,30 +171,6 @@ def test_walk_views_on_deep_chain():
     assert size(f) == 5002
     assert rel_syms(f) == {"r", "s", "t"}
     assert props(f) == {"p"}
-
-
-def test_subformula_closure_renames_boxes():
-    f = Box(fwd("r"), Prop("p"))
-    cl = subformula_closure(f, {"r", "s"})
-    assert Box(fwd("s"), Prop("p")) in cl
-    assert Box(bwd("r"), Prop("p")) in cl
-    assert Prop("p") in cl
-
-
-def test_closure_bound():
-    f = And(Box(fwd("r"), Diamond(fwd("s"), Prop("p"))), Box(bwd("s"), Prop("q")))
-    rels = {"r", "s"}
-    assert len(subformula_closure(f, rels)) <= 2 * len(rels) * size(f)
-
-
-def test_is_instance_of():
-    pattern = Diamond(fwd("r"), And(Var("x"), Prop("p")))
-    assert is_instance_of(Diamond(fwd("r"), And(Nom("c"), Prop("p"))), pattern)
-    assert not is_instance_of(Diamond(fwd("r"), And(Nom("c"), Prop("q"))), pattern)
-    # uniform replacement: both occurrences must agree
-    pattern2 = And(Var("x"), Var("x"))
-    assert is_instance_of(And(Nom("c"), Nom("c")), pattern2)
-    assert not is_instance_of(And(Nom("c"), Nom("d")), pattern2)
 
 
 # -- memoized facts: shape, sharing, hashes ---------------------------------

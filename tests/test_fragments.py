@@ -22,13 +22,7 @@ from hylotab.formulas import (
     fwd,
     nnf,
 )
-from hylotab.fragments import (
-    check_graded_restrictions,
-    classify,
-    detect_box_down_box,
-    detect_down_box,
-    scan,
-)
+from hylotab.fragments import classify, scan
 from hylotab.parser import Problem, parse_formula
 
 
@@ -37,46 +31,35 @@ def f(text):
 
 
 def test_down_box_detection():
-    yes, w = detect_down_box(f("down x . [r] !x"))
-    assert yes and w
-    yes, _ = detect_down_box(f("down x . <r> x"))
-    assert not yes
+    assert scan(f("down x . [r] !x")).down_box
+    assert not scan(f("down x . <r> x")).down_box
     # the global box counts as a universal operator
-    yes, _ = detect_down_box(f("down x . [A] x"))
-    assert yes
+    assert scan(f("down x . [A] x")).down_box
 
 
 def test_box_down_box_detection():
-    yes, w = detect_box_down_box(f("[r] down x . [r] x"))
-    assert yes and w
-    yes, _ = detect_box_down_box(f("down x . [r] x"))
-    assert not yes
-    yes, _ = detect_box_down_box(f("[r] down x . <r> x"))
-    assert not yes
+    assert scan(f("[r] down x . [r] x")).box_down_box
+    assert not scan(f("down x . [r] x")).box_down_box
+    assert not scan(f("[r] down x . <r> x")).box_down_box
     # scope is tree dominance, not intermediated by @
-    yes, _ = detect_box_down_box(f("[A] down x . @'a [r] p"))
-    assert yes
+    assert scan(f("[A] down x . @'a [r] p")).box_down_box
 
 
 def test_box_down_box_through_negation():
     # NNF turns the negated diamond into a box
-    yes, _ = detect_box_down_box(f("! <r> down x . <r> !x"))
-    assert yes
+    assert scan(f("! <r> down x . <r> !x")).box_down_box
 
 
 def test_graded_restrictions():
-    ok, _ = check_graded_restrictions(f("[r]^1 p"))
-    assert ok
-    ok, w = check_graded_restrictions(f("[s] [r]^1 p"))
-    assert not ok and any("1a" in name for name, _ in w)
-    ok, w = check_graded_restrictions(f("[r]^1 down x . [r] x"))
-    assert not ok and any("1b" in name for name, _ in w)
-    ok, w = check_graded_restrictions(f("[s] <r>^2 [r] p"))
-    assert not ok and any("(2)" in name for name, _ in w)
-    ok, _ = check_graded_restrictions(f("[s] <r>^2 p"))
-    assert ok
-    ok, _ = check_graded_restrictions(f("<r>^2 [r] p"))
-    assert ok
+    assert not scan(f("[r]^1 p")).graded
+    w = scan(f("[s] [r]^1 p")).graded
+    assert w and any("1a" in name for name, _ in w)
+    w = scan(f("[r]^1 down x . [r] x")).graded
+    assert w and any("1b" in name for name, _ in w)
+    w = scan(f("[s] <r>^2 [r] p")).graded
+    assert w and any("(2)" in name for name, _ in w)
+    assert not scan(f("[s] <r>^2 p")).graded
+    assert not scan(f("<r>^2 [r] p")).graded
 
 
 def test_classify_tilings():

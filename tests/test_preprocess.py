@@ -44,7 +44,7 @@ p = Prop("p")
 
 
 def test_graded_diamond_shapes():
-    assert expand_graded_diamond(r, 0, p) == Diamond(r, p)
+    assert expand_graded_diamond(r, 0, p, FreshNames()) == Diamond(r, p)
     got = expand_graded_diamond(r, 1, p, FreshNames())
     want = Down(
         "_v1",
@@ -66,7 +66,7 @@ def test_graded_diamond_n2():
 
 
 def test_graded_box_shapes():
-    assert expand_graded_box(r, 0, p) == Box(r, p)
+    assert expand_graded_box(r, 0, p, FreshNames()) == Box(r, p)
     got = expand_graded_box(r, 1, p, FreshNames())
     want = Or(
         Box(r, p),

@@ -2,11 +2,6 @@
 merges two nominals or adds a label that no node of the branch had
 before, phantoms included.  A step that only re-adds existing labels
 can repeat forever.
-
-The A rule breaks it today on four depth-10 random problems: an A
-conclusion added as the offspring of a blocked node is a phantom, never
-enters the live labels, and so is missing again at every step.  Those
-cases are pinned as strict expected failures until the rule is fixed.
 """
 
 import pytest
@@ -16,6 +11,7 @@ from hylotab.corpus import random_fragment_problem
 from hylotab.fragments import FragmentError
 from hylotab.parser import parse
 from hylotab.preprocess import preprocess
+from hylotab.semantics import saturation_violations, validate_extraction
 from hylotab.tableau import Limits, solve
 
 from test_engine_golden import COUNTING_SHAPES, LIMITS, corpus
@@ -65,9 +61,22 @@ def test_every_step_progresses_on_counting(monkeypatch):
     assert stalls(counting_problems(), limits, monkeypatch) == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="A-rule livelock: a phantom A conclusion is re-added forever")
-@pytest.mark.parametrize("seed", [12, 37, 53, 83])
+# Depth-10 problems that livelock the A rule if a blockable child of a
+# blocked node is directly blocked instead of a phantom: its A conclusions
+# are then phantoms, missing again at every step.
+A_LIVELOCKS = [12, 37, 53, 83]
+
+
+@pytest.mark.parametrize("seed", A_LIVELOCKS)
 def test_every_step_progresses_on_depth_10_livelocks(seed, monkeypatch):
     problems = [("d10-%d" % seed, random_fragment_problem(seed, depth=10))]
     assert stalls(problems, Limits(max_nodes=300), monkeypatch) == []
+
+
+@pytest.mark.parametrize("seed", A_LIVELOCKS)
+def test_depth_10_livelocks_terminate_with_a_valid_model(seed):
+    q = preprocess(random_fragment_problem(seed, depth=10))
+    res = solve(q, Limits(max_nodes=2000, max_branches=300))
+    assert res.verdict == "sat"
+    assert validate_extraction(res.branch, res.blocking, q)[0]
+    assert saturation_violations(res.branch, res.blocking) == []
