@@ -69,9 +69,9 @@ def _cmd_solve(args) -> int:
     if code is not None:
         return code
     if args.model:
-        ok, ex = validate_extraction(result.branch, result.blocking, prepared)
+        ok, model = validate_extraction(result.branch, result.blocking, prepared)
         print("model validated: %s" % ("yes" if ok else "no"))
-        print(format_model(ex.model), end="")
+        print(format_model(model), end="")
     return EXIT_SAT
 
 
@@ -164,14 +164,14 @@ def _cmd_validate(args) -> int:
     prepared, result, code = _solved(args)
     if code is not None:
         return code
-    ok, ex = validate_extraction(result.branch, result.blocking, prepared)
+    ok, model = validate_extraction(result.branch, result.blocking, prepared)
     violations = saturation_violations(result.branch, result.blocking)
     print("RESULT: %s" % ("VALIDATED" if ok and not violations else "UNVALIDATED"))
     print("model-confirmed: %s" % ("yes" if ok else "no"))
     print("saturation-violations: %d" % len(violations))
     for v in violations:
         print("  " + v)
-    print(format_model(ex.model), end="")
+    print(format_model(model), end="")
     return EXIT_SAT if ok and not violations else EXIT_UNSAT
 
 

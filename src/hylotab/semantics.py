@@ -9,8 +9,8 @@ tiny vocabularies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress, product
 
 from .formulas import (
     A,
@@ -38,6 +38,7 @@ from .formulas import (
     subst_var,
 )
 from .parser import Problem
+from .tableau import TOP_NOMINAL, Sat, edge_label, edge_readings, format_label, is_relational
 
 
 class EvalError(ValueError):
@@ -193,7 +194,7 @@ def bounded_sat(
 
     for k in range(1, max_states + 1):
         states = list(range(k))
-        all_pairs = list(itertools.product(states, states))
+        all_pairs = list(product(states, states))
         n_models = (
             (k ** len(noms))
             * (2 ** (len(all_pairs) * len(rels)))
@@ -203,28 +204,26 @@ def bounded_sat(
             raise BudgetError(
                 "bound %d needs %d candidate models (budget %d)" % (k, n_models, budget)
             )
-        for nom_map in itertools.product(states, repeat=len(noms)):
+        # Candidates in bit order: nominal map, then labels state by state,
+        # then edges relation by relation, the last choice varying fastest.
+        # The assertions constrain only the edges, so each edge tuple is
+        # checked once per bound.
+        ws = frozenset(states)
+        edge_sets = [frozenset(compress(all_pairs, bits))
+                     for bits in product((False, True), repeat=len(all_pairs))]
+        label_sets = [frozenset(compress(ps, bits))
+                      for bits in product((False, True), repeat=len(ps))]
+        ok = bytearray(
+            check_assertions(Interpretation(ws, dict(zip(rels, edges)), {}, {}),
+                             problem.assertions)
+            for edges in product(edge_sets, repeat=len(rels))
+        )
+        for nom_map in product(states, repeat=len(noms)):
             nom = dict(zip(noms, nom_map))
-            for val_bits in itertools.product([False, True], repeat=k * len(ps)):
-                val = {
-                    w: frozenset(
-                        p for j, p in enumerate(ps) if val_bits[w * len(ps) + j]
-                    )
-                    for w in states
-                }
-                for rel_bits in itertools.product(
-                    [False, True], repeat=len(all_pairs) * len(rels)
-                ):
-                    rho = {}
-                    for i, r in enumerate(rels):
-                        rho[r] = {
-                            all_pairs[j]
-                            for j in range(len(all_pairs))
-                            if rel_bits[i * len(all_pairs) + j]
-                        }
-                    m = Interpretation(frozenset(states), rho, nom, val)
-                    if not check_assertions(m, problem.assertions):
-                        continue
+            for labels in product(label_sets, repeat=k):
+                val = dict(zip(states, labels))
+                for edges in compress(product(edge_sets, repeat=len(rels)), ok):
+                    m = Interpretation(ws, dict(zip(rels, edges)), nom, val)
                     ev = Evaluator(m)
                     if any(ev.holds(w, f) for w in states):
                         return m
@@ -234,46 +233,45 @@ def bounded_sat(
 # ---------------------------------------------------------------------------
 # Model extraction from a complete open branch
 
-def _transitive_closure(pairs: set) -> set:
-    out = set(pairs)
+def close(rho: dict, incls, trans) -> dict:
+    """The least relations that contain rho, contain the left side of each
+    inclusion in its right side (a backward left side reversed), and are
+    transitive on each symbol in trans.
+    """
+    out = {r: set(pairs) for r, pairs in rho.items()}
     while True:
-        new = {(a, d) for (a, b) in out for (c, d) in out if b == c} - out
+        implied = {
+            (inc.right, p if inc.left.is_forward else p[::-1])
+            for inc in incls for p in out.get(inc.left.sym, ())
+        }
+        for s in trans:
+            pairs = out.get(s, ())
+            implied |= {(s, (u, z)) for (u, v) in pairs for (y, z) in pairs if v == y}
+        new = [(r, p) for (r, p) in implied if p not in out.get(r, ())]
         if not new:
             return out
-        out |= new
+        for r, p in new:
+            out.setdefault(r, set()).add(p)
 
 
-def _orient(pairs: set, rel) -> set:
-    if rel.is_forward:
-        return set(pairs)
-    return {(b, a) for (a, b) in pairs}
-
-
-@dataclass
-class Extraction:
-    model: Interpretation
-    resolve: dict        # original nominal -> representative after merges
-
-
-def extract_model(branch, blocking) -> Extraction:
+def extract_model(branch, blocking) -> Interpretation:
     """Read an interpretation off a complete open branch.
 
-    States are the nominals of non-phantom nodes.  Edges come from
-    non-phantom relational nodes, propagated down the containment order
-    and closed transitively where asserted.  A directly blocked witness
-    node borrows its blocker's witness edge; with nominal renaming in
-    play this is an approximation, so extracted models are validated
-    rather than trusted.
+    States are the nominals of non-phantom nodes.  The relations are the
+    `close` of the edges of non-phantom relational nodes under the
+    branch's inclusions and transitivity assertions.  A directly blocked
+    witness node borrows its blocker's witness edge; with nominal renaming
+    in play this is an approximation, so extracted models are validated
+    rather than trusted.  Each merged nominal names the state of its
+    final representative.
     """
-    from .tableau import Sat, edge_label, edge_readings, is_relational
-
     labels = branch.labels
     n = len(labels)
     nonph = [not blocking.phantom[i] for i in range(n)]
 
+    relational = [lab for i, lab in enumerate(labels) if nonph[i] and is_relational(lab)]
     # witness edges for directly blocked diamond nodes, borrowed from
     # the blocker's expansion
-    extra = []
     for i in range(n):
         lab = labels[i]
         if not (nonph[i] and blocking.direct[i] and isinstance(lab, Sat)):
@@ -285,33 +283,14 @@ def extract_model(branch, blocking) -> Extraction:
             if branch.prec[c] == m and is_relational(labels[c]):
                 for (x, rel, y) in edge_readings(labels[c]):
                     if x == labels[m].nom and rel == labels[m].body.rel:
-                        extra.append(edge_label(lab.nom, lab.body.rel, y))
+                        relational.append(edge_label(lab.nom, lab.body.rel, y))
                         break
                 break
 
-    relational = [
-        labels[i] for i in range(n) if nonph[i] and is_relational(labels[i])
-    ] + extra
-
-    base: dict = {r: set() for r in branch.rels}
+    rho: dict = {r: set() for r in branch.rels}
     for lab in relational:
-        s = lab.body.rel.sym
-        x, y = lab.nom, lab.body.sub.name
-        for inc in branch.incls:
-            if inc.left == fwd(s):
-                base.setdefault(inc.right, set()).add((x, y))
-            elif inc.left == bwd(s):
-                base.setdefault(inc.right, set()).add((y, x))
-
-    rho: dict = {}
-    for r in base:
-        pairs = set(base[r])
-        for inc in branch.incls:
-            if inc.right == r and inc.left.sym in branch.trans:
-                pairs |= _transitive_closure(
-                    _orient(base.get(inc.left.sym, set()), inc.left)
-                )
-        rho[r] = pairs
+        rho.setdefault(lab.body.rel.sym, set()).add((lab.nom, lab.body.sub.name))
+    rho = close(rho, branch.incls, branch.trans)
 
     states: set = set()
     val: dict = {}
@@ -323,44 +302,28 @@ def extract_model(branch, blocking) -> Extraction:
         states |= nominals(lab.body)
         if isinstance(lab.body, Prop):
             val.setdefault(lab.nom, set()).add(lab.body.name)
-    for pairs in rho.values():
-        for (a, b) in pairs:
-            states.add(a)
-            states.add(b)
+    states.update(w for pairs in rho.values() for pair in pairs for w in pair)
 
-    resolve: dict = {}
-    for (a, b) in branch.subst_log:
-        resolve = {k: (b if v == a else v) for k, v in resolve.items()}
-        resolve[a] = b
     nom = {a: a for a in states}
-    for a, b in resolve.items():
-        nom[a] = b
-
-    model = Interpretation(
-        frozenset(states),
-        rho,
-        nom,
-        {w: frozenset(ps) for w, ps in val.items()},
-    )
-    return Extraction(model, resolve)
+    for (a, b) in reversed(branch.subst_log):
+        nom[a] = nom.get(b, b)
+    val = {w: frozenset(ps) for w, ps in val.items()}
+    return Interpretation(frozenset(states), rho, nom, val)
 
 
-def validate_extraction(branch, blocking, problem) -> tuple[bool, Extraction]:
+def validate_extraction(branch, blocking, problem) -> tuple[bool, Interpretation]:
     """Extract a model and confirm that it satisfies both the branch's
     input formula (at the top nominal's state) and the assertions.
     """
-    from .tableau import TOP_NOMINAL
-
-    ex = extract_model(branch, blocking)
-    m = ex.model
+    m = extract_model(branch, blocking)
     if not check_assertions(m, problem.assertions):
-        return False, ex
-    w = m.nom.get(ex.resolve.get(TOP_NOMINAL, TOP_NOMINAL))
+        return False, m
+    w = m.nom.get(TOP_NOMINAL)
     try:
         ok = w in m.states and evaluate(m, w, branch.input_formula)
     except EvalError:
         ok = False
-    return ok, ex
+    return ok, m
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +338,6 @@ def saturation_violations(branch, blocking) -> list:
     whose label is 'a: p or 'a: [R] F with the nominal a occurring in
     some non-phantom node.
     """
-    from .tableau import Sat, edge_label, edge_readings, format_label, is_relational
-
     labels = branch.labels
     n = len(labels)
     nonph = [not blocking.phantom[i] for i in range(n)]

@@ -12,7 +12,6 @@ from hylotab.formulas import (
     Box,
     Diamond,
     Down,
-    E,
     Neg,
     Nom,
     Or,
@@ -23,7 +22,7 @@ from hylotab.formulas import (
 )
 from hylotab.corpus import random_fragment_problem
 from hylotab.fragments import scan
-from hylotab.parser import Problem, parse_formula, print_formula
+from hylotab.parser import Problem, parse_formula
 from hylotab.preprocess import (
     FragmentError,
     FreshNames,

@@ -26,7 +26,7 @@ from hylotab.formulas import (
     fwd,
 )
 from hylotab.corpus import random_fragment_problem
-from hylotab.parser import Problem, parse, parse_formula
+from hylotab.parser import parse
 from hylotab.preprocess import preprocess
 from hylotab.semantics import (
     BudgetError,
@@ -35,6 +35,7 @@ from hylotab.semantics import (
     Interpretation,
     bounded_sat,
     check_assertions,
+    close,
     evaluate,
     format_model,
     parse_model,
@@ -116,6 +117,50 @@ def test_check_assertions():
     assert check_assertions(m4, [Incl(bwd("r"), "s")])
 
 
+def naive_close(rho, incls, trans):
+    """Add one implied pair at a time until nothing changes."""
+    out = {r: set(pairs) for r, pairs in rho.items()}
+
+    def implied():
+        for inc in incls:
+            for (u, v) in out.get(inc.left.sym, ()):
+                yield inc.right, ((u, v) if inc.left.is_forward else (v, u))
+        for s in trans:
+            for (u, v) in out.get(s, ()):
+                for (y, z) in out.get(s, ()):
+                    if v == y:
+                        yield s, (u, z)
+
+    while True:
+        missing = next(((r, p) for r, p in implied() if p not in out.get(r, ())), None)
+        if missing is None:
+            return out
+        out.setdefault(missing[0], set()).add(missing[1])
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_close_is_the_least_closure(seed):
+    """Random relations over 1-3 states under random forward and
+    backward inclusions and transitivity assertions."""
+    rng = random.Random(seed)
+    k = rng.randrange(1, 4)
+    syms = "rst"
+    rho = {r: {(u, v) for u in range(k) for v in range(k) if rng.random() < 0.3}
+           for r in syms if rng.random() < 0.8}
+    incls = [Incl(rng.choice([fwd, bwd])(r), s) for r in syms for s in syms
+             if rng.random() < 0.3]
+    trans = [s for s in syms if rng.random() < 0.4]
+    out = close(rho, incls, trans)
+    m = Interpretation(frozenset(range(k)), out, {}, {})
+    assert check_assertions(m, incls + [Trans(s) for s in trans])
+
+    def nonempty(rels):
+        return {r: pairs for r, pairs in rels.items() if pairs}
+
+    assert nonempty(out) == nonempty(naive_close(rho, incls, trans))
+
+
 def test_bounded_sat_finds_models():
     m = bounded_sat(parse("formula: <r> p & [r] q;"))
     assert m is not None
@@ -164,16 +209,16 @@ def sat_branch(text):
 
 def test_extraction_simple():
     res, q = sat_branch("formula: <r> p & [r] q;")
-    ok, ex = validate_extraction(res.branch, res.blocking, q)
+    ok, model = validate_extraction(res.branch, res.blocking, q)
     assert ok
-    assert ex.model.rho["r"]
+    assert model.rho["r"]
 
 
 def test_extraction_transitive_closure():
     res, q = sat_branch("trans r; formula: <r> <r> p & @'a true;")
-    ok, ex = validate_extraction(res.branch, res.blocking, q)
+    ok, model = validate_extraction(res.branch, res.blocking, q)
     assert ok
-    pairs = ex.model.rho["r"]
+    pairs = model.rho["r"]
     for (a, b) in pairs:
         for (c, d) in pairs:
             if b == c:
@@ -182,14 +227,14 @@ def test_extraction_transitive_closure():
 
 def test_extraction_containment():
     res, q = sat_branch("r <= s; formula: <r> p;")
-    ok, ex = validate_extraction(res.branch, res.blocking, q)
+    ok, model = validate_extraction(res.branch, res.blocking, q)
     assert ok
-    assert ex.model.rho["r"] <= ex.model.rho["s"]
+    assert model.rho["r"] <= model.rho["s"]
 
 
 def test_extraction_after_merge():
     res, q = sat_branch("formula: @'a 'b & @'a p;")
-    ok, ex = validate_extraction(res.branch, res.blocking, q)
+    ok, _ = validate_extraction(res.branch, res.blocking, q)
     assert ok
 
 

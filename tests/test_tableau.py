@@ -3,7 +3,7 @@ import pytest
 from hylotab import tableau
 from hylotab.blocking import BlockInfo, recompute_blocking
 from hylotab.formulas import (
-    A, And, At, Bot, Box, Diamond, Down, Incl, Neg, Nom, Or, Prop, Trans, Var, bwd, fwd, nominals,
+    A, And, At, Bot, Box, Diamond, Down, Incl, Neg, Nom, Or, Prop, Var, bwd, fwd, nominals,
     shape, subst_nom,
 )
 from hylotab.fragments import FragmentError
