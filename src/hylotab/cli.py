@@ -9,6 +9,7 @@ Exit codes: 0 satisfiable / success, 1 unsatisfiable / invalid,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .corpus import (
@@ -51,8 +52,9 @@ def _solved(args):
     result prints its verdict line and gives its exit code; a sat result
     gives None, and the caller reports it.
     """
+    limits = Limits(args.max_nodes, args.max_branches, args.timeout)
     prepared = preprocess(_read_problem(args.file))
-    result = solve(prepared, Limits(args.max_nodes, args.max_branches, args.timeout))
+    result = solve(prepared, limits)
     code = {"limit": EXIT_LIMIT, "unsat": EXIT_UNSAT}.get(result.verdict)
     if code is not None:
         print("RESULT: %s" % result.verdict.upper())
@@ -63,6 +65,8 @@ def _cmd_solve(args) -> int:
     prepared, result, code = _solved(args)
     if code is None:
         print("RESULT: SAT")
+    if args.stats:
+        print(json.dumps(result.stats))
     if args.trace:
         for line in result.trace:  # [] on a limit
             print(line)
@@ -193,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--trace", action="store_true", help="print the branch trace")
     p.add_argument("--model", action="store_true", help="print an extracted model")
+    p.add_argument("--stats", action="store_true",
+                   help="print the search statistics as one JSON line")
     add_limits(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -12,6 +12,7 @@ to a.  Disjunctions split the branch; everything else extends it.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -154,6 +155,12 @@ class Branch:
     label keeps them unless a blocking decision may change (`keeps`); a
     split copy takes a copy of them.
 
+    `deps` gives each node the splits it rests on, as a bitmask: bit k
+    for the k-th split on the path, set on that split's disjunct and
+    passed on from premises to conclusions.  A merge may rename any
+    label, so `merged` holds the splits of every merged equality, and
+    every clash rests on them too (`clash_deps`).
+
     `closure_witness`, `copy`, `substitute` and `trace` are wrapped by
     name by the benchmark's tracer (`perfbench/tracing.py`).
     """
@@ -162,6 +169,9 @@ class Branch:
         self.labels: list = []
         self.prec: list = []
         self.prov: list = []          # (rule name, premise node ids)
+        self.deps: list = []          # bitmask of the splits each node rests on
+        self.depth: int = 0           # splits on the path; the next split's bit
+        self.merged: int = 0          # deps of the equalities merged so far
         self.expanded: set = set()    # blockable nodes already expanded
         self.incls: dict = {}         # Incl -> node id
         self.trans: dict = {}         # transitive sym -> node id
@@ -208,11 +218,17 @@ class Branch:
             c.info, c.copied = self.info.copy(), True
         return c
 
-    def add(self, lab, parent, rule, premises) -> int:
+    def add(self, lab, parent, rule, premises, split=0) -> int:
+        """Add a node; its deps are its premises' and the bit `split` of
+        the split whose disjunct it is."""
         i = len(self.labels)
         self.labels.append(lab)
         self.prec.append(parent)
         self.prov.append((rule, tuple(premises)))
+        deps = self.deps
+        for p in premises:
+            split |= deps[p]
+        deps.append(split)
         self.blockable.append(is_blockable(lab))
         if self.blockable[i]:
             skeleton = shape(lab.body)[0]
@@ -354,6 +370,12 @@ class Branch:
         """
         return self.clash
 
+    def clash_deps(self) -> int:
+        """The splits the clash rests on: the clashing nodes' deps and,
+        as a merge may have renamed any label, every merged equality's."""
+        i, j = self.clash
+        return self.deps[i] | self.deps[j] | self.merged
+
     def trace(self) -> list:
         lines = []
         for i, lab in enumerate(self.labels):
@@ -438,6 +460,7 @@ def step(branch: Branch):
     # equality: a non-phantom node 'a: 'b merges the two nominals
     if branch.eq is not None:
         lab = labels[branch.eq]
+        branch.merged |= branch.deps[branch.eq]
         branch.substitute(lab.nom, lab.body.name)
         return ("applied", None)
 
@@ -458,9 +481,11 @@ def step(branch: Branch):
             left, right = conclusions(labels[i])
             if left in npl or right in npl:
                 continue
+            bit = 1 << branch.depth
+            branch.depth += 1
             other = branch.copy()
-            branch.add(left, branch.prec[i], "or-left", (i,))
-            other.add(right, other.prec[i], "or-right", (i,))
+            branch.add(left, branch.prec[i], "or-left", (i,), bit)
+            other.add(right, other.prec[i], "or-right", (i,), bit)
             return ("split", other)
     branch.split = len(live)
 
@@ -549,7 +574,14 @@ def _extensions(branch: Branch):
 class Limits:
     max_nodes: int = 100_000
     max_branches: int = 10_000
-    timeout: float = 60.0
+    timeout: float = 60.0     # seconds; a negative one fires at the first step
+
+    def __post_init__(self):
+        for name in ("max_nodes", "max_branches"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, not %r" % (name, getattr(self, name)))
+        if math.isnan(self.timeout):
+            raise ValueError("timeout must be a number, not nan")
 
 
 @dataclass
@@ -579,15 +611,23 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
     input raises FragmentError, and graded or open input ValueError.
     On "sat" the result carries the complete open branch; on "unsat"
     the trace of the last refuted branch.
+
+    The search is depth first with backjumping.  A closed branch yields
+    the splits its clash rests on (`Branch.clash_deps`); the right branch
+    of a split outside that set is not explored, as it would close the
+    same way.  A closed split rests on the splits of both its sides,
+    less its own, or on those of one side that did not use its
+    disjunct.  Only closed subtrees are skipped, so a "sat" result is
+    the branch that plain depth-first search returns.
     """
     limits = limits or Limits()
     start = time.monotonic()
-    stack = [init_branch(problem)]
-    branches = 0
-    steps = 0
-    last = None
-    while stack:
-        branch = stack.pop()
+    branch = init_branch(problem)
+    # one frame per pending split, innermost last: (right branch, or None
+    # once it is explored; the split's bit; the deps of the closed left side)
+    frames = []
+    branches = steps = pruned = 0
+    while True:
         branches += 1
         while True:
             limit = (
@@ -597,28 +637,43 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
                 else None
             )
             if limit is not None:
-                return Result("limit", branch, stats=_stats(branches, steps, start, limit))
+                return Result("limit", branch, stats=_stats(branches, steps, pruned, start, limit))
             status, other = step(branch)
             steps += 1
             if status == "applied":
                 continue
             if status == "split":
-                stack.append(other)
+                frames.append((other, 1 << (branch.depth - 1), 0))
                 continue
-            if status == "closed":
-                last = branch
+            if status == "done":
+                return Result("sat", branch, other, _stats(branches, steps, pruned, start))
+            break
+        deps = branch.clash_deps()
+        while frames:
+            right, bit, left = frames.pop()
+            if not deps & bit:      # the closed side did not use its disjunct,
+                if right is not None:   # so the right side would close alike
+                    pruned += 1
+            elif right is None:     # both sides closed, each using its disjunct
+                deps = (deps | left) & ~bit
+            else:                   # the left side used its disjunct: try the right
+                frames.append((None, bit, deps))
+                branch = right
                 break
-            return Result("sat", branch, other, _stats(branches, steps, start))
-    return Result("unsat", last, None, _stats(branches, steps, start))
+        else:
+            return Result("unsat", branch, None, _stats(branches, steps, pruned, start))
 
 
-def _stats(branches, steps, start, limit=None):
-    """`limit` names the cap that stopped the search: "nodes", "branches"
-    or "timeout"; None when the search finished.
+def _stats(branches, steps, pruned, start, limit=None):
+    """`branches` counts the branches explored and `pruned` the right
+    branches that backjumping skipped.  `limit` names the cap that
+    stopped the search: "nodes", "branches" or "timeout"; None when the
+    search finished.
     """
     return {
         "branches": branches,
         "steps": steps,
+        "pruned": pruned,
         "seconds": time.monotonic() - start,
         "limit": limit,
     }

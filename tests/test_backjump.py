@@ -1,0 +1,177 @@
+"""Backjumping against plain depth-first search.
+
+`dfs_solve` is the search `solve` ran before backjumping: a stack of
+branches driven by `tableau.step`, each split's right branch explored
+once its left branch closed.  Backjumping only skips right branches that
+would close, so wherever plain search decides, `solve` must give the
+same verdict with no more branches, and a sat result must be the very
+branch plain search returns.
+"""
+
+import time
+
+import pytest
+
+from hylotab import tableau
+from hylotab.corpus import enumerate_small_formulas, random_fragment_problem
+from hylotab.fragments import FragmentError
+from hylotab.parser import Problem, parse
+from hylotab.preprocess import preprocess
+from hylotab.semantics import validate_extraction
+from hylotab.tableau import Limits, init_branch, solve
+
+from test_engine_golden import COUNTING_SHAPES, LIMITS, corpus, counting_problems
+from test_semantics import EXTRACTION_FAILURES
+
+DIFF_LIMITS = Limits(max_nodes=2000, max_branches=300)
+
+
+def dfs_solve(problem, limits):
+    """(verdict, final branch, its BlockInfo on sat, branches explored) of
+    plain depth-first search."""
+    start = time.monotonic()
+    stack = [init_branch(problem)]
+    branches = 0
+    last = None
+    while stack:
+        branch = stack.pop()
+        branches += 1
+        while True:
+            if (branches > limits.max_branches or time.monotonic() - start > limits.timeout
+                    or len(branch.labels) > limits.max_nodes):
+                return "limit", branch, None, branches
+            status, other = tableau.step(branch)
+            if status == "applied":
+                continue
+            if status == "split":
+                stack.append(other)
+                continue
+            if status == "closed":
+                last = branch
+                break
+            return "sat", branch, other, branches
+    return "unsat", last, None, branches
+
+
+def ref_deps(branch):
+    """Each node's deps from scratch.  A split adds one or-left or
+    or-right node to each side, so the k-th such node on a branch is a
+    disjunct of its k-th split and holds bit k; every node also holds the
+    bits of its premises."""
+    out, splits = [], 0
+    for rule, premises in branch.prov:
+        dep = 0
+        if rule in ("or-left", "or-right"):
+            dep, splits = 1 << splits, splits + 1
+        for p in premises:
+            dep |= out[p]
+        out.append(dep)
+    return out
+
+
+def random_problems():
+    for depth in range(3, 9):
+        for seed in range(100):
+            yield "d%d-%d" % (depth, seed), random_fragment_problem(seed, depth=depth)
+
+
+def enumerated_problems():
+    for i, f in enumerate(enumerate_small_formulas()):
+        yield "enum-%d" % i, Problem([], f)
+
+
+CORPORA = {
+    "golden": (corpus, LIMITS),
+    "random": (random_problems, DIFF_LIMITS),
+    "enumerated": (enumerated_problems, DIFF_LIMITS),
+    "counting": (lambda: counting_problems(4), DIFF_LIMITS),
+}
+KNOWN_UNVALIDATED = {"d%d-%d" % (depth, seed) for seed, depth in EXTRACTION_FAILURES}
+
+
+def disagreements(problems, limits):
+    """The problems where backjumping departs from plain search or a final
+    branch's deps from `ref_deps`, and the number of problems each search
+    decided, the number pruned at least once, and the branches pruned."""
+    wrong, counts = [], {"dfs decided": 0, "decided": 0, "pruning": 0, "pruned": 0}
+    for pid, problem in problems:
+        try:
+            prepared = preprocess(problem)
+        except FragmentError:
+            continue
+        want, dfs_branch, _, dfs_branches = dfs_solve(prepared, limits)
+        res = solve(prepared, limits)
+        counts["dfs decided"] += want != "limit"
+        counts["decided"] += res.verdict != "limit"
+        counts["pruning"] += res.stats["pruned"] > 0
+        counts["pruned"] += res.stats["pruned"]
+        if any(b.deps != ref_deps(b) for b in (res.branch, dfs_branch)):
+            wrong.append((pid, "deps are not their premises' and split bits"))
+        if want == "limit":
+            continue
+        if res.verdict != want:
+            wrong.append((pid, "verdict %s, plain search %s" % (res.verdict, want)))
+        elif res.stats["branches"] > dfs_branches:
+            wrong.append((pid, "%d branches, plain search %d" % (res.stats["branches"], dfs_branches)))
+        elif want == "sat":
+            if res.trace != dfs_branch.trace():
+                wrong.append((pid, "sat trace differs"))
+            elif pid not in KNOWN_UNVALIDATED and not validate_extraction(
+                    res.branch, res.blocking, prepared)[0]:
+                wrong.append((pid, "model does not validate"))
+    return wrong, counts
+
+
+@pytest.mark.parametrize("name", list(CORPORA))
+def test_backjumping_agrees_with_plain_search(name):
+    problems, limits = CORPORA[name]
+    wrong, counts = disagreements(problems(), limits)
+    assert wrong == []
+    assert counts["decided"] >= counts["dfs decided"] > 0
+    if name != "enumerated":  # too small to split twice
+        assert counts["pruning"] > 0, counts
+
+
+@pytest.mark.parametrize(
+    "text, verdict, branches, pruned",
+    [
+        # both sides of the second split close by its disjuncts alone, so the
+        # first split's right branch is skipped (plain search: 4 branches)
+        ("formula: (p | q) & (r | s) & !r & !s;", "unsat", 2, 1),
+        # the second split's right side closes without its disjunct and
+        # without the first split, whose right branch is skipped too
+        ("formula: ([r] !t | b) & (<r> t | v) & <r> <r> s & [r] [r] !s;", "unsat", 2, 1),
+        # the left side of the second split used the first split, so the
+        # first split's right branch is explored, and it is open
+        ("formula: ([r] !t | u) & (<r> t | v) & !v;", "sat", 3, 0),
+    ],
+)
+def test_backjumping_over_two_splits(text, verdict, branches, pruned):
+    q = preprocess(parse(text))
+    res = solve(q, Limits(timeout=15))
+    assert (res.verdict, res.stats["branches"], res.stats["pruned"]) == (verdict, branches, pruned)
+    assert dfs_solve(q, Limits(timeout=15))[0] == verdict
+
+
+# -- the problems backjumping decides that plain search does not --------------
+
+def test_depth_9_seed_6_is_sat():
+    q = preprocess(random_fragment_problem(6, depth=9))
+    assert dfs_solve(q, Limits(max_branches=300))[0] == "limit"
+    res = solve(q, Limits(max_branches=300))
+    assert res.verdict == "sat"
+    assert validate_extraction(res.branch, res.blocking, q)[0]
+
+
+@pytest.mark.parametrize("shape", COUNTING_SHAPES)
+@pytest.mark.parametrize("n, m", [(2, 3), (2, 4)])
+def test_counting_decides_under_the_benchmark_cap(shape, n, m):
+    """The counting workload's caps: 2,000 nodes, 25 branches."""
+    res = solve(preprocess(parse(shape.format(n=n, m=m))), Limits(max_nodes=2000, max_branches=25))
+    assert res.verdict == "sat"
+
+
+@pytest.mark.parametrize("shape", COUNTING_SHAPES)
+def test_counting_4_4_is_unsat_within_500_branches(shape):
+    res = solve(preprocess(parse(shape.format(n=4, m=4))), Limits(max_nodes=2000, max_branches=500))
+    assert res.verdict == "unsat"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hylotab.cli import main
@@ -41,6 +43,36 @@ def test_solve_limit(tmp_path, capsys):
     f = write(tmp_path, "p.hl", "formula: [A] <r> true;")
     assert main(["solve", f, "--max-nodes", "3"]) == 2
     assert first_line(capsys) == "RESULT: LIMIT"
+
+
+def test_solve_stats(tmp_path, capsys):
+    f = write(tmp_path, "p.hl", "formula: (p | q) & (r | s) & !r & !s;")
+    assert main(["solve", f, "--stats", "--trace"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "RESULT: UNSAT"
+    stats = json.loads(lines[1])
+    assert stats.pop("seconds") >= 0
+    assert stats == {"branches": 2, "steps": 7, "pruned": 1, "limit": None}
+    assert lines[2].startswith("(0) ")
+    f = write(tmp_path, "p.hl", "formula: [A] <r> true;")
+    assert main(["solve", f, "--stats", "--max-nodes", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "RESULT: LIMIT" and json.loads(lines[1])["limit"] == "nodes"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-nodes", "0"], "max_nodes must be at least 1, not 0"),
+        (["--max-branches", "-3"], "max_branches must be at least 1, not -3"),
+        (["--timeout", "nan"], "timeout must be a number, not nan"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_bad_limits_are_input_errors(tmp_path, capsys, command, flags, message):
+    f = write(tmp_path, "p.hl", "formula: p;")
+    assert main([command, f] + flags) == 4
+    assert capsys.readouterr().out.splitlines() == ["RESULT: INPUT-ERROR", message]
 
 
 def test_solve_model_output(tmp_path, capsys):

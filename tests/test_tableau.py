@@ -22,7 +22,7 @@ from hylotab.tableau import (
     solve,
 )
 
-from test_engine_golden import LIMITS, corpus
+from test_engine_golden import LIMITS, corpus, counting_problems
 
 REFUTATION = "trans r; r <= s; s <= r; formula: <s> <s> p & [s] !p;"
 
@@ -197,6 +197,13 @@ def test_stats_name_the_limit_that_fired(limits, want):
     res = solve(preprocess(parse("formula: [A] <r> true & ((p & !p) | q);")), limits)
     assert res.stats["limit"] == want
     assert res.verdict == ("sat" if want is None else "limit")
+
+
+@pytest.mark.parametrize(
+    "kw", [{"max_nodes": 0}, {"max_branches": 0}, {"max_branches": -1}, {"timeout": float("nan")}])
+def test_limits_reject_caps_that_cannot_hold(kw):
+    with pytest.raises(ValueError):
+        Limits(**kw)
 
 
 # -- the branch views against from-scratch views ------------------------------
@@ -451,6 +458,13 @@ def test_merges_rewrite_labels_as_one_call_per_label(monkeypatch):
     assert merges > 200
 
 
+def wider_corpus():
+    """The golden corpus and the counting problems with n, m <= 3 it leaves out."""
+    golden = dict(corpus())
+    return list(golden.items()) + [
+        (pid, problem) for pid, problem in counting_problems(4) if pid not in golden]
+
+
 def test_index_matches_from_scratch_views(monkeypatch):
     real_step = tableau.step
     seen = {"steps": 0, "kept merges": 0, "reset merges": 0, "kept splits": 0, "marks": 0}
@@ -474,7 +488,7 @@ def test_index_matches_from_scratch_views(monkeypatch):
         return status, other
 
     monkeypatch.setattr(tableau, "step", checked)
-    for _pid, problem in corpus():
+    for _pid, problem in wider_corpus():
         try:
             prepared = preprocess(problem)
         except FragmentError:
