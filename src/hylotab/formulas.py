@@ -4,7 +4,7 @@ inspection helpers for multi-modal hybrid logic.
 Formulas are immutable trees with structural equality, so they can be
 used freely as dict keys and set members (label comparison is pervasive
 in the tableau engine and in blocking).  Each node keeps its hash, its
-nominals and its nominal-erased shape once computed.
+nominals, its nominal-erased shape and its `fragments.scan` once computed.
 """
 
 from __future__ import annotations
@@ -76,11 +76,11 @@ class Incl:
 
 class Node:
     """Base of the immutable tree classes.  Structural facts (hash,
-    `nominals`, `shape`) are computed on first use and kept on the node,
-    outside the compared fields.
+    `nominals`, `shape`, `fragments.scan`) are computed on first use and
+    kept on the node, outside the compared fields.
     """
 
-    __slots__ = ("_hash", "_noms", "_shape")
+    __slots__ = ("_hash", "_noms", "_shape", "_scan")
 
 
 def node(cls):

@@ -4,16 +4,17 @@ that govern decidability, and the restrictions on graded modalities.
 The detection expects NNF input; "scope" is plain AST dominance (an
 @-jump does not cut scope).  Universal operators are [R], [A] and the
 graded [R]^n.  One preorder pass (`scan`) finds every witness, and also
-whether a graded operator occurs and which variables are free: it is
-the one syntactic check of every pipeline stage, and `classify` is a
-view on it.
+whether a graded operator occurs, which variables are free, which
+relation symbols occur and whether the formula is in NNF: it is the one
+syntactic check of every pipeline stage, runs once per formula node,
+and `classify` is a view on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formulas import A, At, Box, Diamond, Down, Formula, Var, children, nnf
+from .formulas import A, At, Box, Diamond, Down, Formula, Neg, Nom, Prop, Var, children, nnf
 
 # A position is a tuple of child indices from the root.
 Path = tuple
@@ -24,50 +25,67 @@ class FragmentError(ValueError):
 
     def __init__(self, message, witnesses=None):
         super().__init__(message)
-        self.witnesses = witnesses or []
+        self.witnesses = list(witnesses or ())
 
 
-@dataclass
+@dataclass(slots=True)
 class Scan:
-    """Witnesses of one formula, each list in preorder of its nodes."""
+    """Witnesses of one formula, each tuple in preorder of its nodes.  It
+    is kept on the node and shared by every caller, so it is immutable."""
 
     # The undecidability trigger: binders that lie under a universal and
     # scope over one.
-    box_down_box: list = field(default_factory=list)
+    box_down_box: tuple = ()
     # Binders that scope over a universal (`tau` skolemizes these).
-    down_box: list = field(default_factory=list)
+    down_box: tuple = ()
     # Violations of the restrictions under which graded modalities stay
     # decidable:
     #   1a. no graded box occurs in the scope of a universal operator,
     #   1b. no graded box body contains a binder scoping over a universal,
     #   2.  every graded diamond either occurs under no universal operator
     #       or has a body free of universal operators.
-    graded: list = field(default_factory=list)
-    grades: bool = False                    # a graded operator occurs
-    free: set = field(default_factory=set)  # free variables, @x prefixes included
+    graded: tuple = ()
+    grades: bool = False               # a graded operator occurs
+    free: frozenset = frozenset()      # free variables, @x prefixes included
+    rels: frozenset = frozenset()      # relation symbols of the modalities
+    nnf: bool = True                   # nnf(f) is f: each ! is on a p, 'a or x
 
 
 def scan(f: Formula) -> Scan:
-    """Visit each node of the NNF formula f once and collect all witnesses."""
-    out = Scan()
-    _scan(f, (), False, frozenset(), out)
-    return out
+    """Visit each node of f once and collect all witnesses (meaningful on
+    NNF input only); computed once per node and kept on it."""
+    try:
+        return f._scan
+    except AttributeError:
+        out = Scan()
+        _scan(f, (), False, frozenset(), out)
+        object.__setattr__(f, "_scan", out)
+        return out
+
+
+def _insert(found: tuple, at: int, new: list) -> tuple:
+    return found[:at] + tuple(new) + found[at:]
 
 
 def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> tuple[bool, bool]:
     """Returns whether f contains a universal operator, and whether it
     contains a binder scoping over one.  A node's witnesses are known
-    only after its subtree, so they are inserted at the list positions
-    reached before it, which keeps every list in preorder.  `bound` holds
-    the variables of the binders above f.
+    only after its subtree, so they are inserted at the positions
+    reached before it, which keeps every tuple in preorder.  `bound`
+    holds the variables of the binders above f.
     """
     name = f.at if isinstance(f, At) else f  # a variable may occur as an @-prefix
-    if isinstance(name, Var) and name.name not in bound:
-        out.free.add(name.name)
+    if isinstance(name, Var) and name.name not in bound and name.name not in out.free:
+        out.free = out.free | {name.name}
     subs = children(f)
     if not subs:
         return False, False
-    if isinstance(f, Down):
+    if isinstance(f, Neg):
+        if not isinstance(f.sub, (Prop, Nom, Var)):
+            out.nnf = False
+    elif isinstance(f, (Box, Diamond)) and f.rel.sym not in out.rels:
+        out.rels = out.rels | {f.rel.sym}
+    elif isinstance(f, Down):
         bound = bound | {f.var}
     universal = isinstance(f, (Box, A))
     marks = (len(out.box_down_box), len(out.down_box), len(out.graded))
@@ -78,9 +96,9 @@ def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> t
         has_down_box |= d
     if isinstance(f, Down) and has_universal:
         has_down_box = True
-        out.down_box.insert(marks[1], ("down-box", path))
+        out.down_box = _insert(out.down_box, marks[1], [("down-box", path)])
         if under:
-            out.box_down_box.insert(marks[0], ("box-down-box", path))
+            out.box_down_box = _insert(out.box_down_box, marks[0], [("box-down-box", path)])
     elif isinstance(f, (Box, Diamond)) and f.grade is not None:
         out.grades = True
         found = []
@@ -90,7 +108,7 @@ def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> t
             found.append(("graded-box-body-has-down-box (1b)", path))
         if not universal and under and has_universal:
             found.append(("graded-diamond-under-universal-with-universal-body (2)", path))
-        out.graded[marks[2]:marks[2]] = found
+        out.graded = _insert(out.graded, marks[2], found)
     return has_universal or universal, has_down_box
 
 
@@ -109,12 +127,12 @@ class FragmentVerdict:
 
 def classify(problem) -> FragmentVerdict:
     """Scan the NNF of the problem's formula."""
-    f = nnf(problem.formula)
+    f = problem.formula if scan(problem.formula).nnf else nnf(problem.formula)
     s = scan(f)
     return FragmentVerdict(
         bool(s.box_down_box),
         bool(s.down_box),
         not s.graded,
-        s.box_down_box + s.down_box + s.graded,
+        [*s.box_down_box, *s.down_box, *s.graded],
         f,
     )

@@ -44,8 +44,8 @@ from .formulas import (
     Var,
     bwd,
     fwd,
-    rel_syms,
 )
+from .fragments import scan
 
 
 class ParseError(ValueError):
@@ -62,7 +62,7 @@ class Problem:
     declared_rels: set = field(default_factory=set)
 
     def __post_init__(self):
-        used = set(rel_syms(self.formula))
+        used = set(scan(self.formula).rels)
         for a in self.assertions:
             if isinstance(a, Trans):
                 used.add(a.sym)
@@ -79,30 +79,31 @@ _TOKEN_RE = re.compile(
   | (?P<nom>'[A-Za-z_][A-Za-z0-9_]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|[()<>\[\]@!&|.;^-]|:)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(text):
+    """(kind, text, line, column) of each token, then an "eof" token.
+    Only whitespace holds newlines, so the line only moves there.
+    """
     tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % text[pos], line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        val = m.group()
-        if kind != "ws":
-            tokens.append((kind, val, line, col))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            col = len(val) - val.rfind("\n")
+        if kind == "ws":
+            nl = m.group().count("\n")
+            if nl:
+                line += nl
+                line_start = m.start() + m.group().rfind("\n") + 1
+        elif kind == "bad":
+            col = m.start() - line_start + 1
+            raise ParseError("unexpected character %r" % m.group(), line, col)
         else:
-            col += len(val)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+            tokens.append((kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -130,6 +130,8 @@ def tau(f: Formula, fresh: FreshNames) -> Formula:
         raise FragmentError(
             "input contains a universal-binder-universal nesting", found.box_down_box
         )
+    if not found.down_box:
+        return f
     critical = {path for _, path in found.down_box}
     return _tau(f, (), critical, fresh)
 
@@ -152,7 +154,8 @@ def _tau(f: Formula, path: tuple, critical: set, fresh: FreshNames) -> Formula:
 
 def preprocess(problem: Problem) -> Problem:
     """nnf (classify's) -> graded expansion -> tau.  Expanding an NNF
-    formula gives NNF, so no second normalization is needed.  Raises
+    formula gives NNF, so no second normalization is needed.  A step
+    runs only when the formula's scan says it changes something.  Raises
     FragmentError when the problem lies outside the accepted fragment;
     assertions pass through unchanged.
     """
@@ -163,5 +166,6 @@ def preprocess(problem: Problem) -> Problem:
             [w for w in verdict.witnesses if w[0] != "down-box"],
         )
     fresh = FreshNames()
-    f = tau(expand_grades(verdict.formula, fresh), fresh)
+    f = verdict.formula
+    f = tau(expand_grades(f, fresh) if scan(f).grades else f, fresh)
     return Problem(list(problem.assertions), f, set(problem.declared_rels))

@@ -390,7 +390,7 @@ class Branch:
 # Initialization
 
 def init_branch(problem: Problem) -> Branch:
-    f = nnf(problem.formula)
+    f = problem.formula if scan(problem.formula).nnf else nnf(problem.formula)
     found = scan(f)
     if found.grades:
         raise ValueError("graded operators must be eliminated before solving")

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hylotab import fragments, parser, preprocess, tableau
 from hylotab.corpus import functionality_formula, tiling_at, tiling_conv, default_tiles
 from hylotab.formulas import (
     A,
     And,
     At,
+    Bot,
     Box,
     Diamond,
     Down,
@@ -16,13 +19,15 @@ from hylotab.formulas import (
     Nom,
     Or,
     Prop,
+    Top,
     Var,
     bwd,
     children,
     fwd,
     nnf,
+    rel_syms,
 )
-from hylotab.fragments import classify, scan
+from hylotab.fragments import FragmentError, classify, scan
 from hylotab.parser import Problem, parse_formula
 
 
@@ -191,3 +196,96 @@ def test_scan_free_variables_by_example():
     # grades count under negation and inside @
     assert scan(Neg(At(Nom("a"), Diamond(fwd("r"), Prop("p"), 0)))).grades
     assert not scan(parse_formula("[r] <r> p")).grades
+
+
+NAMES = [Prop("p"), Nom("a"), Var("x"), Top(), Bot()]
+
+
+@st.composite
+def hybrid_formulas(draw, depth=4):
+    """Like `random_hybrid`, with true and false too and two relation symbols."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(NAMES))
+    sub = lambda: draw(hybrid_formulas(depth - 1))
+    op = draw(st.integers(0, 6))
+    if op == 0:
+        return Neg(sub())
+    if op == 1:
+        return draw(st.sampled_from([And, Or]))(sub(), sub())
+    if op == 2:
+        rel = draw(st.sampled_from([fwd("r"), bwd("r"), fwd("s")]))
+        grade = draw(st.sampled_from([None, 0, 2]))
+        return draw(st.sampled_from([Diamond, Box]))(rel, sub(), grade)
+    if op == 3:
+        return draw(st.sampled_from([E, A]))(sub())
+    if op == 4:
+        return At(draw(st.sampled_from([Nom("a"), Var("x")])), sub())
+    return Down(draw(st.sampled_from("xy")), sub())
+
+
+@given(hybrid_formulas())
+@settings(max_examples=300, deadline=None)
+def test_scan_nnf_and_rels_match_reference(g):
+    found = scan(g)
+    assert found.nnf == (nnf(g) is g)
+    assert found.rels == rel_syms(g)
+
+
+def test_scan_nnf_and_rels_by_example():
+    for text, in_nnf in [
+        ("!true", False), ("!false", False), ("!!p", False), ("<r> ! <s> p", False),
+        ("down x . @x !!x", False), ("!p & !'a", True), ("down x . @x !x", True),
+    ]:
+        assert scan(parse_formula(text)).nnf is in_nnf, text
+    assert scan(f("[r-]^1 p & @'a <s> <E> q")).rels == {"r", "s"}
+    assert scan(f("@'a [A] p")).rels == frozenset()
+
+
+def test_scan_is_kept_on_the_node_and_immutable():
+    g = f("[r] down x . [r] x & [s] <r>^2 [r] !'a")
+    found = scan(g)
+    assert scan(g) is found
+    for name in ("box_down_box", "down_box", "graded"):
+        assert isinstance(getattr(found, name), tuple) and getattr(found, name)
+    assert isinstance(found.free, frozenset) and isinstance(found.rels, frozenset)
+    # classify and FragmentError still hand out lists
+    witnesses = found.box_down_box + found.down_box + found.graded
+    assert classify(Problem([], g)).witnesses == list(witnesses)
+    assert FragmentError("outside", found.graded).witnesses == list(found.graded)
+
+
+def count_walks(monkeypatch, text):
+    """Root calls of the whole-formula walks of parse, preprocess and solve."""
+    counts = Counter()
+
+    def counted(key, fn):
+        depth = [0]
+
+        def wrapper(*args):
+            counts[key] += not depth[0]
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for module, name in [(fragments, "_scan"), (fragments, "nnf"), (tableau, "nnf"),
+                         (preprocess, "expand_grades"), (preprocess, "_tau")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    result = tableau.solve(preprocess.preprocess(parser.parse(text)))
+    assert result.verdict in ("sat", "unsat")
+    return counts
+
+
+def test_one_scan_and_no_other_walk_on_plain_input(monkeypatch):
+    # grade-free, in NNF, and its one binder scopes over no universal
+    text = "trans r; r <= s; formula: <r> p & [s] (q | down x . <r-> x) & @'a !p;"
+    assert count_walks(monkeypatch, text) == {"_scan": 1}
+
+
+def test_graded_input_scans_at_most_three_times(monkeypatch):
+    counts = count_walks(monkeypatch, "formula: <r>^2 p & [r]^3 !p;")
+    assert counts["_scan"] <= 3
+    assert counts["expand_grades"] == counts["_tau"] == 1
