@@ -10,7 +10,9 @@ never also directly blocked, and the offspring parent of every
 non-phantom node is itself unblocked.  A node depends
 only on earlier nodes, the nominal profiles and the top nominals, so
 while those stay the same the pass continues over new nodes instead of
-starting again.
+starting again.  The pass also records the nominals of the labels it
+compared (`BlockInfo.consulted`); a change to any other nominal leaves
+every decision made so far as it is.
 
 A renaming can only exist between labels whose bodies have the same
 nominal-erased skeleton (`formulas.shape`).  The pass therefore keeps
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .formulas import Box, Prop, shape
+from .formulas import Box, Prop, nominals, shape
 
 
 def nominal_profiles(sat_labels) -> dict:
@@ -38,10 +40,7 @@ def nominal_profiles(sat_labels) -> dict:
             props[lab.nom].add(lab.body.name)
         elif isinstance(lab.body, Box):
             boxes[lab.nom].add((lab.body.rel, lab.body.grade, lab.body.sub))
-    out: dict = {}
-    for a in set(props) | set(boxes):
-        out[a] = (frozenset(props[a]), frozenset(boxes[a]))
-    return out
+    return {a: (frozenset(props[a]), frozenset(boxes[a])) for a in props.keys() | boxes.keys()}
 
 
 _EMPTY = (frozenset(), frozenset())
@@ -87,11 +86,17 @@ class BlockInfo:
     profiles: dict    # nominal -> profile
     top_noms: set
     groups: dict      # skeleton -> unblocked blockable nodes, in node order
+    consulted: set    # the nominals of both labels of every pair given to maps_to
 
     def copy(self) -> "BlockInfo":
-        """A copy with its own lists; it shares the profiles and top nominals."""
+        """A copy with its own lists and `consulted`; it shares the profiles
+        and top nominals.  A decision reads only the profiles, the top
+        status and the names of the two labels it compared, and phantom
+        status follows decisions, so a change to nominals outside
+        `consulted` changes no decided node."""
         return BlockInfo(self.direct[:], self.phantom[:], self.blocker[:], self.profiles,
-                         self.top_noms, {k: v[:] for k, v in self.groups.items()})
+                         self.top_noms, {k: v[:] for k, v in self.groups.items()},
+                         set(self.consulted))
 
     def extend(self, labels, prec, blockable) -> None:
         """Decide the nodes from len(direct) on, in node order.  Phantom
@@ -109,6 +114,8 @@ class BlockInfo:
             if blockable[i] and not phantom_i:
                 group = self.groups.setdefault(shape(labels[i].body)[0], [])
                 for m in group:
+                    self.consulted.update((labels[m].nom, labels[i].nom), nominals(labels[m].body),
+                                          nominals(labels[i].body))
                     if maps_to(labels[m], labels[i], self.top_noms, self.profiles):
                         hit = m
                         break
@@ -124,6 +131,6 @@ def recompute_blocking(labels, prec, blockable, top_noms, sat_labels, start=None
     from `start`, a private copy of the blocking of a prefix of the nodes
     under the current profiles and top nominals.
     """
-    info = start or BlockInfo([], [], [], nominal_profiles(sat_labels), top_noms, {})
+    info = start or BlockInfo([], [], [], nominal_profiles(sat_labels), top_noms, {}, set())
     info.extend(labels, prec, blockable)
     return info

@@ -82,16 +82,11 @@ def _cmd_solve(args) -> int:
 def _cmd_check_fragment(args) -> int:
     problem = _read_problem(args.file)
     verdict = classify(problem)
-    if verdict.preprocessable:
-        print("RESULT: PREPROCESSABLE")
-    else:
-        print("RESULT: OUTSIDE-FRAGMENT")
-    print("binder-over-universal: %s" % ("yes" if verdict.has_down_box else "no"))
-    print(
-        "universal-binder-universal: %s"
-        % ("yes" if verdict.has_box_down_box else "no")
-    )
-    print("graded-restrictions-met: %s" % ("yes" if verdict.graded_ok else "no"))
+    print("RESULT: %s" % ("PREPROCESSABLE" if verdict.preprocessable else "OUTSIDE-FRAGMENT"))
+    for name, flag in (("binder-over-universal", verdict.has_down_box),
+                       ("universal-binder-universal", verdict.has_box_down_box),
+                       ("graded-restrictions-met", verdict.graded_ok)):
+        print("%s: %s" % (name, "yes" if flag else "no"))
     _print_witnesses(verdict.witnesses)
     return EXIT_SAT if verdict.preprocessable else EXIT_FRAGMENT
 
@@ -151,14 +146,12 @@ def _cmd_gen(args) -> int:
         problem = tiling_conv(default_tiles())
     elif args.kind == "random":
         problem = random_fragment_problem(args.seed, depth=args.depth)
-    elif args.kind == "frame":
+    else:  # frame; argparse admits no other kind
         prop = frame_property(args.property, "r", args.n)
         if isinstance(prop, (Trans, Incl)):
             problem = Problem([prop], Top())
         else:
             problem = Problem([], prop)
-    else:
-        raise ValueError(args.kind)
     print("RESULT: OK")
     print(print_problem(problem), end="")
     return EXIT_SAT

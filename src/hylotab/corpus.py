@@ -47,14 +47,20 @@ def disj(fs) -> Formula:
 # ---------------------------------------------------------------------------
 # Frame properties
 
+# Far above the largest at_most_n count whose formula stays within Python's
+# recursion limit; checked before the n names are built.
+MAX_FRAME_COUNT = 10_000
+
+
 def frame_property(name: str, rel: str = "r", n: int = 2):
     """Assertions or formulas forcing well-known frame conditions.
     Returns an assertion for conditions expressible as such, otherwise
     a formula to be conjoined with the input.  The count n of
-    at_most_n and at_least_n_successors must be at least 1.
+    at_most_n and at_least_n_successors lies in 1..MAX_FRAME_COUNT.
     """
-    if n < 1:
-        raise ValueError("frame property count must be at least 1, not %d" % n)
+    if not 1 <= n <= MAX_FRAME_COUNT:
+        raise ValueError("frame property count must be at least 1 and at most %d, not %d"
+                         % (MAX_FRAME_COUNT, n))
     r = fwd(rel)
     if name == "transitivity":
         return Trans(rel)

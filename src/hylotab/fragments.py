@@ -59,20 +59,19 @@ def scan(f: Formula) -> Scan:
     except AttributeError:
         out = Scan()
         _scan(f, (), False, frozenset(), out)
+        # preorder is the order of paths; the sort is stable, so 1a stays before 1b
+        for name in ("box_down_box", "down_box", "graded"):
+            setattr(out, name, tuple(sorted(getattr(out, name), key=lambda w: w[1])))
         object.__setattr__(f, "_scan", out)
         return out
-
-
-def _insert(found: tuple, at: int, new: list) -> tuple:
-    return found[:at] + tuple(new) + found[at:]
 
 
 def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> tuple[bool, bool]:
     """Returns whether f contains a universal operator, and whether it
     contains a binder scoping over one.  A node's witnesses are known
-    only after its subtree, so they are inserted at the positions
-    reached before it, which keeps every tuple in preorder.  `bound`
-    holds the variables of the binders above f.
+    only after its subtree, so they are appended in postorder and
+    `scan` sorts them.  `bound` holds the variables of the binders
+    above f.
     """
     name = f.at if isinstance(f, At) else f  # a variable may occur as an @-prefix
     if isinstance(name, Var) and name.name not in bound and name.name not in out.free:
@@ -88,7 +87,6 @@ def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> t
     elif isinstance(f, Down):
         bound = bound | {f.var}
     universal = isinstance(f, (Box, A))
-    marks = (len(out.box_down_box), len(out.down_box), len(out.graded))
     has_universal = has_down_box = False
     for i, g in enumerate(subs):
         u, d = _scan(g, path + (i,), under or universal, bound, out)
@@ -96,19 +94,17 @@ def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> t
         has_down_box |= d
     if isinstance(f, Down) and has_universal:
         has_down_box = True
-        out.down_box = _insert(out.down_box, marks[1], [("down-box", path)])
+        out.down_box += (("down-box", path),)
         if under:
-            out.box_down_box = _insert(out.box_down_box, marks[0], [("box-down-box", path)])
+            out.box_down_box += (("box-down-box", path),)
     elif isinstance(f, (Box, Diamond)) and f.grade is not None:
         out.grades = True
-        found = []
         if universal and under:
-            found.append(("graded-box-under-universal (1a)", path))
+            out.graded += (("graded-box-under-universal (1a)", path),)
         if universal and has_down_box:
-            found.append(("graded-box-body-has-down-box (1b)", path))
+            out.graded += (("graded-box-body-has-down-box (1b)", path),)
         if not universal and under and has_universal:
-            found.append(("graded-diamond-under-universal-with-universal-body (2)", path))
-        out.graded = _insert(out.graded, marks[2], found)
+            out.graded += (("graded-diamond-under-universal-with-universal-body (2)", path),)
     return has_universal or universal, has_down_box
 
 

@@ -43,6 +43,11 @@ class FreshNames:
         return "%sv%d" % (FRESH_PREFIX, self.counter)
 
 
+# Far above the largest grade whose expansion stays within Python's recursion
+# limit (197 on a diamond, 141 on a box); checked before the n names are built.
+MAX_GRADE = 10_000
+
+
 def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames) -> Formula:
     """(at least n+1 successors satisfying f), written with the binder:
 
@@ -51,8 +56,8 @@ def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames) 
         n=2:  down x . <R> (f & down y1 . @x <R> (f & !y1 &
                               down y2 . @x <R> (f & !y1 & !y2)))
     """
-    if n < 0:
-        raise ValueError("grade must be nonnegative")
+    if not 0 <= n <= MAX_GRADE:
+        raise ValueError("grade must be between 0 and %d, not %d" % (MAX_GRADE, n))
     if n == 0:
         return Diamond(rel, f)
     x = fresh.variable()
@@ -79,8 +84,8 @@ def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames) -> F
         n=2:  [R] f | down x . <R> (down y1 . @x <R> (down y2 .
                               @x [R] (f | y1 | y2)))
     """
-    if n < 0:
-        raise ValueError("grade must be nonnegative")
+    if not 0 <= n <= MAX_GRADE:
+        raise ValueError("grade must be between 0 and %d, not %d" % (MAX_GRADE, n))
     if n == 0:
         return Box(rel, f)
     x = fresh.variable()

@@ -274,9 +274,7 @@ def extract_model(branch, blocking) -> Interpretation:
     # the blocker's expansion
     for i in range(n):
         lab = labels[i]
-        if not (nonph[i] and blocking.direct[i] and isinstance(lab, Sat)):
-            continue
-        if not isinstance(lab.body, Diamond):
+        if not (blocking.direct[i] and isinstance(lab.body, Diamond)):  # direct: a live Sat
             continue
         m = blocking.blocker[i]
         for c in range(n):
@@ -395,8 +393,13 @@ def saturation_violations(branch, blocking) -> list:
                     bad.append("diamond witness: %s" % format_label(lab))
         if isinstance(f, Box):
             for (x, rel, y) in edges:
-                if x == lab.nom and rel == f.rel and Sat(y, f.sub) not in present:
+                if x != lab.nom:
+                    continue
+                if rel == f.rel and Sat(y, f.sub) not in present:
                     miss("box", Sat(y, f.sub))
+                pushed = Sat(y, Box(rel, f.sub))
+                if rel.sym in branch.trans and branch.has_incl(rel, f.rel) and pushed not in present:
+                    miss("transitive box", pushed)
         if isinstance(f, E):
             if nonph[i] and not blocking.direct[i]:
                 if not any(Sat(d, f.sub) in present for d in noms):
@@ -420,19 +423,6 @@ def saturation_violations(branch, blocking) -> list:
         for inc in branch.incls:
             if inc.left == rel and edge_label(x, fwd(inc.right), y) not in present:
                 miss("containment edge", edge_label(x, fwd(inc.right), y))
-
-    for i in core:
-        lab = labels[i]
-        if not (isinstance(lab, Sat) and isinstance(lab.body, Box)):
-            continue
-        for (x, rel, y) in edges:
-            if (
-                x == lab.nom
-                and rel.sym in branch.trans
-                and branch.has_incl(rel, lab.body.rel)
-            ):
-                if Sat(y, Box(rel, lab.body.sub)) not in present:
-                    miss("transitive box", Sat(y, Box(rel, lab.body.sub)))
     return bad
 
 
@@ -455,13 +445,18 @@ def format_model(model: Interpretation) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Checking even a one-letter formula in a model of 10**6 states takes about
+# 160 MB, so a model above this bound would not fit in memory; it is refused
+# before its states are built.
+MAX_STATES = 10**7
 # Fields after the keyword of each model line, as written by format_model.
 _MODEL_FIELDS = {"states": 1, "nominal": 2, "label": 2, "edge": 3}
 
 
 def parse_model(text: str) -> Interpretation:
     """The inverse of format_model.  Raises ValueError on a malformed
-    line or on a state outside 0..N-1, N the `states` count.
+    line, on more than MAX_STATES states or on a state outside 0..N-1, N
+    the `states` count.
     """
     states: frozenset = frozenset()
     rho: dict = {}
@@ -475,6 +470,8 @@ def parse_model(text: str) -> Interpretation:
         if _MODEL_FIELDS.get(parts[0]) != len(parts) - 1:
             raise ValueError("bad model line: %r" % raw)
         if parts[0] == "states":
+            if int(parts[1]) > MAX_STATES:
+                raise ValueError("model state count must be at most %d, not %s" % (MAX_STATES, parts[1]))
             states = frozenset(range(int(parts[1])))
         elif parts[0] == "nominal":
             nom[parts[1]] = int(parts[2])

@@ -43,7 +43,6 @@ from .formulas import (
     nnf,
     node,
     nominals,
-    shape,
     subst_nom,
     subst_var,
 )
@@ -152,8 +151,8 @@ class Branch:
     every step.  The label views depend on the labels alone: `add` extends
     them and `substitute` patches them.  The live views depend on blocking
     too: `blocking` extends them.  A substitution or a new Prop or Box
-    label keeps them unless a blocking decision may change (`keeps`); a
-    split copy takes a copy of them.
+    label keeps them unless it touches a nominal that blocking compared
+    (`keeps`); a split copy takes a copy of them.
 
     `deps` gives each node the splits it rests on, as a bitmask: bit k
     for the k-th split on the path, set on that split's disjunct and
@@ -183,7 +182,6 @@ class Branch:
         self.clash = None             # first contradictory pair
         self.lits: dict = {}          # (nominal, prop, positive?) -> first node
         self.blockable: list = []
-        self.classes: dict = {}       # skeleton -> blockable node ids, phantoms included
         self.boxes: dict = {}         # nominal -> Box node ids, phantoms included
         self.a_nodes: tuple = ()      # A node ids, phantoms included
         self.reset_live(None)
@@ -230,9 +228,6 @@ class Branch:
             split |= deps[p]
         deps.append(split)
         self.blockable.append(is_blockable(lab))
-        if self.blockable[i]:
-            skeleton = shape(lab.body)[0]
-            self.classes[skeleton] = self.classes.get(skeleton, ()) + (i,)
         if not isinstance(lab, Sat):
             return i
         f, lit = lab.body, _literal(lab.body)
@@ -252,13 +247,10 @@ class Branch:
         return i
 
     def keeps(self, noms) -> bool:
-        """Keep the live views when the profiles or top status of `noms`
-        change?  Blocks are decided by `maps_to` between blockable nodes of
-        one skeleton; if two such nodes exist and one mentions `noms`, reset."""
-        labels = self.labels
-        if self.info is None or any(len(ids) > 1 and any(
-                labels[i].nom in noms or not noms.isdisjoint(nominals(labels[i].body))
-                for i in ids) for ids in self.classes.values()):
+        """Keep the live views when the profiles, top status or names of
+        `noms` change?  Only if blocking compared no label that mentions
+        them (`BlockInfo.consulted`); otherwise reset."""
+        if self.info is None or not noms.isdisjoint(self.info.consulted):
             self.reset_live(None)
             return False
         self.stale = True

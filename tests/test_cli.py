@@ -205,6 +205,30 @@ def test_model_check_malformed_model(tmp_path, capsys, model):
     assert out[1].startswith(("bad model line", "model state"))
 
 
+BIG_GRADE = "formula: <r>^99999999999999999999 p;"
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["solve", "p.hl"], {"p.hl": BIG_GRADE},
+         "grade must be between 0 and 10000, not 99999999999999999999"),
+        (["preprocess", "p.hl"], {"p.hl": BIG_GRADE},
+         "grade must be between 0 and 10000, not 99999999999999999999"),
+        (["model-check", "m.txt", "p.hl"], {"m.txt": "states 100000000000\n", "p.hl": "formula: p;"},
+         "model state count must be at most 10000000, not 100000000000"),
+        (["gen", "frame", "--property", "at_most_n", "--n", "100000000000"], {},
+         "frame property count must be at least 1 and at most 10000, not 100000000000"),
+    ],
+    ids=["solve-grade", "preprocess-grade", "model-states", "gen-at-most-n"],
+)
+def test_oversized_counts_are_refused_before_allocation(tmp_path, capsys, argv, files, message):
+    """Each count is checked before the names or states it asks for are built."""
+    paths = {name: write(tmp_path, name, text) for name, text in files.items()}
+    assert main([paths.get(arg, arg) for arg in argv]) == 4
+    assert capsys.readouterr().out.splitlines() == ["RESULT: INPUT-ERROR", message]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -4,7 +4,7 @@ from hylotab import tableau
 from hylotab.blocking import BlockInfo, recompute_blocking
 from hylotab.formulas import (
     A, And, At, Bot, Box, Diamond, Down, Incl, Neg, Nom, Or, Prop, Var, bwd, fwd, nominals,
-    shape, subst_nom,
+    subst_nom,
 )
 from hylotab.fragments import FragmentError
 from hylotab.parser import Problem, parse, parse_formula
@@ -246,14 +246,11 @@ def check_index(branch):
     labels = branch.labels
     assert branch.closure_witness() == ref_closure(labels)
     assert branch.blockable == [is_blockable(lab) for lab in labels]
-    boxes, classes = {}, {}
+    boxes = {}
     for i, lab in enumerate(labels):
         if isinstance(lab, Sat) and isinstance(lab.body, Box):
             boxes.setdefault(lab.nom, []).append(i)
-        if is_blockable(lab):
-            classes.setdefault(shape(lab.body)[0], []).append(i)
     assert branch.boxes == {a: tuple(ids) for a, ids in boxes.items()}
-    assert branch.classes == {k: tuple(ids) for k, ids in classes.items()}
     assert branch.a_nodes == tuple(
         i for i, lab in enumerate(labels) if isinstance(lab, Sat) and isinstance(lab.body, A)
     )
@@ -463,6 +460,35 @@ def wider_corpus():
     golden = dict(corpus())
     return list(golden.items()) + [
         (pid, problem) for pid, problem in counting_problems(4) if pid not in golden]
+
+
+def compared_branch():
+    """'a: <r>p and 'c: <r>p are compared (c is blocked by a); 'd: <r>q is
+    alone in its skeleton group, so d is never compared."""
+    b = Branch()
+    for lab in [Sat("_0", Prop("q")), Sat("a", Diamond(fwd("r"), Prop("p"))),
+                Sat("c", Diamond(fwd("r"), Prop("p"))), Sat("d", Diamond(fwd("r"), Prop("q")))]:
+        b.add(lab, None, "init", ())
+    info = b.blocking()
+    assert info.consulted == {"a", "c"} and info.direct == [False, False, True, False]
+    return b, info
+
+
+@pytest.mark.parametrize("event", [
+    lambda b, a: b.add(Sat(a, Prop("s")), None, "init", ()),
+    lambda b, a: b.add(Sat(a, Box(fwd("r"), Prop("s"))), None, "init", ()),
+    lambda b, a: b.substitute(a, "e"),
+], ids=["prop", "box", "merge"])
+@pytest.mark.parametrize("nom, kept", [("d", True), ("a", False), ("c", False)])
+def test_views_reset_exactly_when_a_consulted_nominal_changes(event, nom, kept):
+    b, info = compared_branch()
+    event(b, nom)
+    if kept:
+        assert b.info is info and b.stale
+    else:
+        assert b.info is None
+    b.blocking()
+    check_index(b)
 
 
 def test_index_matches_from_scratch_views(monkeypatch):
