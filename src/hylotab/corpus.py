@@ -195,17 +195,19 @@ def functionality_formula() -> Formula:
 # ---------------------------------------------------------------------------
 # Deterministic random problems in the binder fragment
 
-# The vocabulary of the random problems.
+# The random problems' vocabulary and largest depth; a depth-d formula has up to 2^d nodes.
 RELS, PROPS, NOMS = ("r", "s"), ("p", "q"), ("a", "b")
+MAX_DEPTH = 16
 
 
 def random_fragment_problem(seed: int, depth: int = 5) -> Problem:
     """A random ground NNF problem over RELS, PROPS and NOMS where no
     binder scopes over a universal operator, with random transitivity
-    and containment assertions.  Fully determined by the seed.
+    and containment assertions.  Fully determined by the seed.  Raises
+    ValueError unless 0 <= depth <= MAX_DEPTH.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative, not %d" % depth)
+    if not 0 <= depth <= MAX_DEPTH:
+        raise ValueError("depth must be nonnegative and at most %d, not %d" % (MAX_DEPTH, depth))
     rng = random.Random(seed)
 
     def atom():

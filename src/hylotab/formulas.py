@@ -1,15 +1,15 @@
 """Formula and assertion ASTs, negation normal form, substitutions and
 inspection helpers for multi-modal hybrid logic.
 
-Formulas are immutable trees with structural equality, so they can be
-used freely as dict keys and set members (label comparison is pervasive
-in the tableau engine and in blocking).  Each node keeps its hash, its
+Formulas are immutable, interned trees: equal formulas are one object, so
+`==` and `hash` are identity and never walk a tree (label comparison is
+pervasive in the tableau engine and in blocking).  Each node keeps its
 nominals, its nominal-erased shape and its `fragments.scan` once computed.
 """
 
 from __future__ import annotations
 
-import operator
+import weakref
 from dataclasses import dataclass
 
 FRESH_PREFIX = "_"
@@ -74,30 +74,48 @@ class Incl:
 # ---------------------------------------------------------------------------
 # Formulas
 
-class Node:
-    """Base of the immutable tree classes.  Structural facts (hash,
-    `nominals`, `shape`, `fragments.scan`) are computed on first use and
-    kept on the node, outside the compared fields.
-    """
+# (class, *fields) -> weak reference to the one live node with them
+_TABLE: dict = {}
 
-    __slots__ = ("_hash", "_noms", "_shape", "_scan")
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    """Drop a dead node's entry, unless a newer node has taken its key."""
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+class Node:
+    """Base of the immutable tree classes.  Building a node returns the
+    live node with the same class and fields; derived facts (`nominals`,
+    `shape`, `fragments.scan`, `tableau.conclusions`) are kept on it."""
+
+    __slots__ = ("__weakref__", "_noms", "_shape", "_scan", "_concl")
+
+    def __new__(cls, *args, **kw):
+        if kw or len(args) != len(cls.__match_args__):
+            f = object.__new__(cls)
+            cls._fill(f, *args, **kw)  # checks the fields, fills in defaults
+            args = tuple(getattr(f, name) for name in cls.__match_args__)
+        key = (cls, *args)
+        f = (ref := _TABLE.get(key)) and ref()
+        if f is None:
+            f = object.__new__(cls)
+            cls._fill(f, *args)
+            ref = _TABLE[key] = _Ref(f, _forget)
+            ref.key = key
+        return f
 
 
 def node(cls):
-    """Make a Node subclass a frozen, slotted dataclass whose structural
-    hash is computed once.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    structural = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", structural(self))
-            return self._hash
-
-    cls.__hash__ = __hash__
+    """Make a Node subclass a frozen, slotted dataclass compared by identity;
+    its generated `__init__` becomes `_fill`, which `Node.__new__` calls."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls._fill = cls.__init__
+    del cls.__init__
     return cls
 
 
@@ -192,7 +210,8 @@ ATOMS = (Prop, Nom, Var, Top, Bot)
 # Negation normal form
 
 # The operator a negation turns each operator into.
-_DUAL = {And: Or, Or: And, Diamond: Box, Box: Diamond, E: A, A: E, At: At, Down: Down}
+_DUAL = {Top: Bot, Bot: Top, And: Or, Or: And, Diamond: Box, Box: Diamond, E: A, A: E,
+         At: At, Down: Down}
 
 
 def nnf(f: Formula) -> Formula:
@@ -210,13 +229,9 @@ def nnf(f: Formula) -> Formula:
     g = f.sub
     if isinstance(g, (Prop, Nom, Var)):
         return f
-    if isinstance(g, Top):
-        return Bot()
-    if isinstance(g, Bot):
-        return Top()
     if isinstance(g, Neg):
         return nnf(g.sub)
-    return _rebuild(g, [nnf(Neg(h)) for h in children(g)], _DUAL.get(type(g)))
+    return _rebuild(g, [nnf(Neg(h)) for h in children(g)], _DUAL[type(g)])
 
 
 def children(f: Formula) -> tuple:
@@ -243,15 +258,14 @@ def subst_var(f: Formula, x: str, a: str) -> Formula:
     if isinstance(f, At):
         at = subst_var(f.at, x, a)
         return At(at, subst_var(f.sub, x, a))
-    return _rebuild(f, [subst_var(g, x, a) for g in children(f)])
+    return _rebuild(f, list(map(subst_var, children(f), (x, x), (a, a))))  # one frame per level
 
 
 def subst_nom(f: Formula, a: str, b: str, memo: dict | None = None) -> Formula:
     """Replace every occurrence of nominal a with b; subtrees without a
     are kept, not rebuilt, and rebuilt nodes get their nominals set.
-    `memo` maps subterms (and results, to themselves) for this one (a, b):
-    calls that share it rebuild each distinct subterm once, and equal
-    results are one object."""
+    `memo` maps the subterms already renamed for this one (a, b), so calls
+    that share it walk each distinct subterm once."""
     noms = nominals(f)
     if a not in noms:
         return f
@@ -265,32 +279,23 @@ def subst_nom(f: Formula, a: str, b: str, memo: dict | None = None) -> Formula:
         else:
             out = _rebuild(f, [subst_nom(g, a, b, memo) for g in children(f)])
         object.__setattr__(out, "_noms", noms - {a} | {b})
-        memo[f] = out = memo.setdefault(out, out)
+        memo[f] = out
     return out
 
 
 def _rebuild(f: Formula, subs: list, op: type | None = None) -> Formula:
-    """A node of class `op` (default: f's own) with f's relation, grade,
-    prefix or variable, over the children `subs`.  Without `op`, f itself
-    when every child is unchanged, so its cached facts are kept.
+    """The node of class `op` (default: f's own) with f's relation, grade,
+    prefix or variable, over the children `subs`; f itself, with its cached
+    facts, when `op` is f's class and every child is unchanged.
     """
-    if op is None:
-        if all(map(operator.is_, subs, children(f))):
-            return f
-        op = type(f)
-    if op is And or op is Or:
-        return op(subs[0], subs[1])
-    if op is Neg:
-        return Neg(subs[0])
+    op = op or type(f)
     if op is Diamond or op is Box:
         return op(f.rel, subs[0], f.grade)
-    if op is E or op is A:
-        return op(subs[0])
     if op is At:
         return At(f.at, subs[0])
     if op is Down:
         return Down(f.var, subs[0])
-    raise TypeError("not a formula: %r" % (f,))
+    return op(*subs)  # Top, Bot, Neg, And, Or, E, A
 
 
 # ---------------------------------------------------------------------------

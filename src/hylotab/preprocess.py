@@ -43,8 +43,7 @@ class FreshNames:
         return "%sv%d" % (FRESH_PREFIX, self.counter)
 
 
-# Far above the largest grade whose expansion stays within Python's recursion
-# limit (197 on a diamond, 141 on a box); checked before the n names are built.
+# Checked before the names are built; far above any grade the recursion limit allows.
 MAX_GRADE = 10_000
 
 

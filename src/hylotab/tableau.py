@@ -53,14 +53,8 @@ TOP_NOMINAL = "_0"
 BRANCH_FRESH = "_b"
 
 
-class Label(Node):
-    """Node base with a slot that keeps `conclusions`."""
-
-    __slots__ = ("_concl",)
-
-
 @node
-class Sat(Label):
+class Sat(Node):
     """Satisfaction statement: nominal `nom` labels formula `body`."""
 
     nom: str
@@ -276,7 +270,7 @@ class Branch:
     def substitute(self, a: str, b: str) -> None:
         """Replace nominal a by b in the labels that hold it, and patch the
         views over them; the other labels stay the same objects.  One memo
-        serves the whole merge, so each distinct subterm is rebuilt once.
+        serves the whole merge, so each distinct subterm is walked once.
         a's literal and Box entries move to b, and the clash may move to
         b's literal pairs or a renamed label.
         """

@@ -219,8 +219,10 @@ BIG_GRADE = "formula: <r>^99999999999999999999 p;"
          "model state count must be at most 10000000, not 100000000000"),
         (["gen", "frame", "--property", "at_most_n", "--n", "100000000000"], {},
          "frame property count must be at least 1 and at most 10000, not 100000000000"),
+        (["gen", "random", "--depth", "60"], {},
+         "depth must be nonnegative and at most 16, not 60"),
     ],
-    ids=["solve-grade", "preprocess-grade", "model-states", "gen-at-most-n"],
+    ids=["solve-grade", "preprocess-grade", "model-states", "gen-at-most-n", "gen-random-depth"],
 )
 def test_oversized_counts_are_refused_before_allocation(tmp_path, capsys, argv, files, message):
     """Each count is checked before the names or states it asks for are built."""

@@ -1,4 +1,7 @@
+import pytest
+
 from hylotab.corpus import (
+    MAX_DEPTH,
     default_tiles,
     enumerate_small_formulas,
     frame_property,
@@ -70,6 +73,13 @@ def test_random_problems_deterministic_and_in_fragment():
         assert p1.formula == p2.formula and p1.assertions == p2.assertions
         assert not scan(p1.formula).free
         assert not scan(nnf(p1.formula)).down_box
+
+
+def test_random_problem_depth_is_bounded():
+    assert random_fragment_problem(0, depth=MAX_DEPTH).formula is not None
+    for depth in (-1, MAX_DEPTH + 1, 60):
+        with pytest.raises(ValueError, match="depth must be nonnegative and at most"):
+            random_fragment_problem(0, depth=depth)
 
 
 def test_random_problems_vary():

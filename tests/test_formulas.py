@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import FrozenInstanceError
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hylotab import formulas
 from hylotab.formulas import (
     A,
     And,
@@ -35,8 +37,10 @@ from hylotab.formulas import (
     walk,
 )
 from hylotab.fragments import scan
+from hylotab.parser import parse
+from hylotab.preprocess import preprocess
 from hylotab.semantics import Interpretation, evaluate
-from hylotab.tableau import Branch, Sat
+from hylotab.tableau import Branch, Sat, solve
 
 from test_blocking import ref_align
 
@@ -322,18 +326,41 @@ def test_branch_substitute_keeps_untouched_labels():
     assert b.labels[3] == Sat("b", Box(fwd("r"), Prop("q")))
 
 
-def test_cached_hash_is_structural():
-    def build():
-        return At(Nom("a"), Down("x", Box(fwd("r"), Or(Var("x"), Prop("p")), 1)))
+def test_equal_builds_are_one_object():
+    r, p = fwd("r"), Prop("p")
+    builds = [
+        lambda: Prop("p"), lambda: Nom("a"), lambda: Var("x"), lambda: Top(), lambda: Bot(),
+        lambda: Neg(p), lambda: And(p, Nom("a")), lambda: Or(p, Nom("a")),
+        lambda: Diamond(r, p, 2), lambda: Box(bwd("r"), p), lambda: E(p), lambda: A(p),
+        lambda: At(Nom("a"), p), lambda: Down("x", Var("x")),
+        lambda: Sat("a", Down("x", Box(fwd("r"), Or(Var("x"), p), 1))),
+    ]
+    for build in builds:
+        f = build()
+        assert build() is f and f == build() and hash(f) == hash(build())
+    for op in (Diamond, Box):
+        assert op(r, p) is op(r, p, None) is op(r, p, grade=None) is op(rel=r, sub=p)
+        assert op(r, p, 1) is op(r, p, grade=1) is not op(r, p)
+    assert And(p, Nom("a")) != Or(p, Nom("a")) and Nom("p") is not p
+    assert Sat("a", p) is Sat(nom="a", body=p) is not Sat("b", p)
 
-    f, g = build(), build()
-    assert f is not g and f == g
-    # fill f's caches first, then compare with the untouched copy
-    hash(f), nominals(f), shape(f)
-    assert hash(f) == hash(g) == hash(build())
-    assert hash(Sat("a", f)) == hash(Sat("a", g))
-    assert {f: 1}[g] == 1
-    assert And(Prop("p"), Prop("q")) != Or(Prop("p"), Prop("q"))
+
+@given(st.integers(0, 40), st.integers(0, 40))  # few seeds, so some pairs are equal
+@settings(max_examples=200, deadline=None)
+def test_identity_is_structural_equality(seed1, seed2):
+    f, g = random_formula(random.Random(seed1), 2), random_formula(random.Random(seed2), 2)
+    assert (f is g) == (f == g) == (repr(f) == repr(g))
+
+
+def test_intern_table_keeps_only_live_nodes():
+    problem = preprocess(parse("trans r; formula: <r>^3 p & [r] (q | down x. <r-> x) & @'a <s> 'a;"))
+    gc.collect()
+    before = len(formulas._TABLE)
+    result = solve(problem)
+    assert result.verdict == "sat" and len(formulas._TABLE) > before
+    del result
+    gc.collect()
+    assert len(formulas._TABLE) == before
 
 
 def test_nodes_stay_frozen():

@@ -9,6 +9,7 @@ from hylotab.formulas import (
 from hylotab.fragments import FragmentError
 from hylotab.parser import Problem, parse, parse_formula
 from hylotab.preprocess import preprocess
+from hylotab.semantics import validate_extraction
 from hylotab.tableau import (
     Branch,
     Limits,
@@ -140,6 +141,16 @@ def test_limits_report_resource_exhaustion():
         Limits(max_nodes=3, timeout=15),
     )
     assert res.verdict == "limit"
+
+
+@pytest.mark.parametrize("text", ["<r>^80 p", "[r]^141 p"])
+def test_deep_graded_input_is_decided(text):
+    """Comparing and hashing labels walks no formula, so the deep expansion
+    of a small graded input is solved and its model validates."""
+    q = preprocess(parse("formula: %s;" % text))
+    res = solve(q)
+    assert res.verdict == "sat"
+    assert validate_extraction(res.branch, res.blocking, q)[0]
 
 
 def test_rejects_graded_input():
