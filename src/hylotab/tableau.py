@@ -150,9 +150,9 @@ class Branch:
 
     `deps` gives each node the splits it rests on, as a bitmask: bit k
     for the k-th split on the path, set on that split's disjunct and
-    passed on from premises to conclusions.  A merge may rename any
-    label, so `merged` holds the splits of every merged equality, and
-    every clash rests on them too (`clash_deps`).
+    passed on from premises to conclusions.  A merge adds the merged
+    equality's deps to each label it renames (`substitute`), so a clash
+    rests on its clashing pair's deps alone (`clash_deps`).
 
     `closure_witness`, `copy`, `substitute` and `trace` are wrapped by
     name by the benchmark's tracer (`perfbench/tracing.py`).
@@ -164,7 +164,6 @@ class Branch:
         self.prov: list = []          # (rule name, premise node ids)
         self.deps: list = []          # bitmask of the splits each node rests on
         self.depth: int = 0           # splits on the path; the next split's bit
-        self.merged: int = 0          # deps of the equalities merged so far
         self.expanded: set = set()    # blockable nodes already expanded
         self.incls: dict = {}         # Incl -> node id
         self.trans: dict = {}         # transitive sym -> node id
@@ -267,12 +266,13 @@ class Branch:
             return Incl(left, right.sym) in self.incls
         return Incl(left.inv(), right.sym) in self.incls
 
-    def substitute(self, a: str, b: str) -> None:
+    def substitute(self, a: str, b: str, deps: int) -> None:
         """Replace nominal a by b in the labels that hold it, and patch the
-        views over them; the other labels stay the same objects.  One memo
-        serves the whole merge, so each distinct subterm is walked once.
-        a's literal and Box entries move to b, and the clash may move to
-        b's literal pairs or a renamed label.
+        views over them; the other labels stay the same objects.  Each
+        renamed label then also rests on `deps`, the merged equality's.
+        One memo serves the whole merge, so each distinct subterm is walked
+        once.  a's literal and Box entries move to b, and the clash may move
+        to b's literal pairs or a renamed label.
         """
         labels, renamed, memo = self.labels, [], {}
         for i, lab in enumerate(labels):
@@ -280,6 +280,7 @@ class Branch:
                 body = subst_nom(lab.body, a, b, memo)
                 if body is not lab.body or lab.nom == a:
                     labels[i] = Sat(b if lab.nom == a else lab.nom, body)
+                    self.deps[i] |= deps
                     renamed.append(i)
         self.subst_log.append((a, b))
         lits, props, owners = self.lits, set(), {a, b}
@@ -357,10 +358,10 @@ class Branch:
         return self.clash
 
     def clash_deps(self) -> int:
-        """The splits the clash rests on: the clashing nodes' deps and,
-        as a merge may have renamed any label, every merged equality's."""
+        """The splits the clash rests on: the clashing nodes' deps, which
+        hold those of the equalities that renamed them."""
         i, j = self.clash
-        return self.deps[i] | self.deps[j] | self.merged
+        return self.deps[i] | self.deps[j]
 
     def trace(self) -> list:
         lines = []
@@ -446,8 +447,7 @@ def step(branch: Branch):
     # equality: a non-phantom node 'a: 'b merges the two nominals
     if branch.eq is not None:
         lab = labels[branch.eq]
-        branch.merged |= branch.deps[branch.eq]
-        branch.substitute(lab.nom, lab.body.name)
+        branch.substitute(lab.nom, lab.body.name, branch.deps[branch.eq])
         return ("applied", None)
 
     for concl, k, rule, premises, key in _extensions(branch):
@@ -599,12 +599,17 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
     the trace of the last refuted branch.
 
     The search is depth first with backjumping.  A closed branch yields
-    the splits its clash rests on (`Branch.clash_deps`); the right branch
-    of a split outside that set is not explored, as it would close the
-    same way.  A closed split rests on the splits of both its sides,
-    less its own, or on those of one side that did not use its
-    disjunct.  Only closed subtrees are skipped, so a "sat" result is
-    the branch that plain depth-first search returns.
+    the splits its clash rests on (`Branch.clash_deps`).  Each label
+    follows from its premises, its split's disjunct and the equalities
+    that renamed it, and its deps hold all of theirs; a witness rule only
+    adds a fresh nominal, and blocking decides which conclusions are
+    drawn, never what they say.  So a clash whose deps lack split k makes
+    the labels before k, with the disjuncts in those deps, unsatisfiable
+    whatever merges or Prop and Box disjuncts did to nominal profiles,
+    and the right side of k is skipped.  A closed split rests on the
+    splits of both its sides, less its own, or on those of one side that
+    did not use its disjunct.  Only closed subtrees are skipped, so a
+    "sat" result is the branch that plain depth-first search returns.
     """
     limits = limits or Limits()
     start = time.monotonic()

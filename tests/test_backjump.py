@@ -18,7 +18,7 @@ from hylotab.fragments import FragmentError
 from hylotab.parser import Problem, parse
 from hylotab.preprocess import preprocess
 from hylotab.semantics import validate_extraction
-from hylotab.tableau import Limits, init_branch, solve
+from hylotab.tableau import Branch, Limits, init_branch, solve
 
 from test_engine_golden import COUNTING_SHAPES, LIMITS, corpus, counting_problems
 from test_semantics import EXTRACTION_FAILURES
@@ -53,19 +53,44 @@ def dfs_solve(problem, limits):
     return "unsat", last, None, branches
 
 
+@pytest.fixture
+def recorded_merges(monkeypatch):
+    """Each merge appends (node count, equality node, renamed node ids) to
+    its branch's `merges` list, which `Branch.copy` copies with the rest."""
+    real_substitute = Branch.substitute
+
+    def recorded(branch, a, b, deps):
+        eq, before = branch.eq, list(branch.labels)
+        real_substitute(branch, a, b, deps)
+        renamed = [i for i, lab in enumerate(before) if branch.labels[i] is not lab]
+        vars(branch).setdefault("merges", []).append((len(before), eq, renamed))
+
+    monkeypatch.setattr(Branch, "substitute", recorded)
+
+
 def ref_deps(branch):
     """Each node's deps from scratch.  A split adds one or-left or
     or-right node to each side, so the k-th such node on a branch is a
     disjunct of its k-th split and holds bit k; every node also holds the
-    bits of its premises."""
-    out, splits = [], 0
+    bits of its premises.  A recorded merge, replayed once the nodes before
+    it are in, adds the equality's bits to each node it renamed."""
+    out, splits, merges = [], 0, list(getattr(branch, "merges", ()))
+
+    def replay_merges():
+        while merges and merges[0][0] == len(out):
+            _, eq, renamed = merges.pop(0)
+            for i in renamed:
+                out[i] |= out[eq]
+
     for rule, premises in branch.prov:
+        replay_merges()
         dep = 0
         if rule in ("or-left", "or-right"):
             dep, splits = 1 << splits, splits + 1
         for p in premises:
             dep |= out[p]
         out.append(dep)
+    replay_merges()
     return out
 
 
@@ -123,7 +148,7 @@ def disagreements(problems, limits):
 
 
 @pytest.mark.parametrize("name", list(CORPORA))
-def test_backjumping_agrees_with_plain_search(name):
+def test_backjumping_agrees_with_plain_search(name, recorded_merges):
     problems, limits = CORPORA[name]
     wrong, counts = disagreements(problems(), limits)
     assert wrong == []
@@ -175,3 +200,23 @@ def test_counting_decides_under_the_benchmark_cap(shape, n, m):
 def test_counting_4_4_is_unsat_within_500_branches(shape):
     res = solve(preprocess(parse(shape.format(n=4, m=4))), Limits(max_nodes=2000, max_branches=500))
     assert res.verdict == "unsat"
+
+
+# -- what the exact merge rule prunes ------------------------------------------
+# A renamed label rests on the equality that renamed it, and a clash on its
+# pair's deps alone, so a split that only a merge touched can still be skipped.
+
+@pytest.mark.parametrize("seed, depth, most", [(141, 6, 1), (234, 8, 1), (106, 7, 58)])
+def test_exact_merge_deps_prune_more(seed, depth, most):
+    q = preprocess(random_fragment_problem(seed, depth=depth))
+    res = solve(q, DIFF_LIMITS)
+    assert res.verdict == "unsat" and res.stats["branches"] <= most
+    assert dfs_solve(q, Limits(max_nodes=2000, max_branches=1500))[0] == "unsat"
+
+
+@pytest.mark.parametrize("seed, depth, most", [(290, 10, 40), (229, 11, 14)])
+def test_exact_merge_deps_decide_the_hard_tail(seed, depth, most):
+    q = preprocess(random_fragment_problem(seed, depth=depth))
+    res = solve(q, Limits(max_branches=300))
+    assert res.verdict == "sat" and res.stats["branches"] <= most
+    assert validate_extraction(res.branch, res.blocking, q)[0]

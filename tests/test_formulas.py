@@ -318,10 +318,10 @@ def test_branch_substitute_keeps_untouched_labels():
     b.add(Trans("r"), None, "assert", ())
     b.add(Sat("c", Box(fwd("r"), Prop("q"))), None, "init", ())
     before = list(b.labels)
-    b.substitute("a", "b")
+    b.substitute("a", "b", 0)
     assert b.labels[0] == Sat("b", Diamond(fwd("r"), Nom("c")))
     assert all(b.labels[i] is before[i] for i in (1, 2, 3))
-    b.substitute("c", "b")
+    b.substitute("c", "b", 0)
     assert b.labels[1] is before[1] and b.labels[2] is before[2]
     assert b.labels[3] == Sat("b", Box(fwd("r"), Prop("q")))
 

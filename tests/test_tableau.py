@@ -322,7 +322,7 @@ def test_closure_keeps_the_first_clash():
     b.add(Sat("a", Bot()), None, "init", ())
     assert b.closure_witness() == (1, 3)
     # a substitution patches the tables: 'b: !p becomes 'a: !p
-    b.substitute("b", "a")
+    b.substitute("b", "a", 0)
     assert b.closure_witness() == ref_closure(b.labels) == (0, 2)
 
 
@@ -332,20 +332,20 @@ def test_substitution_moves_the_clash_to_the_first_literal():
         b.add(lab, None, "init", ())
     assert b.closure_witness() == (1, 2)
     # after a -> b, node 2 still closes the branch, now against node 0
-    b.substitute("a", "b")
+    b.substitute("a", "b", 0)
     assert b.closure_witness() == ref_closure(b.labels) == (0, 2)
     # a's literal moves to b without displacing b's earlier first node
     b = Branch()
     for lab in [Sat("b", Prop("p")), Sat("a", Prop("p"))]:
         b.add(lab, None, "init", ())
-    b.substitute("a", "b")
+    b.substitute("a", "b", 0)
     b.add(Sat("b", Neg(Prop("p"))), None, "init", ())
     assert b.closure_witness() == ref_closure(b.labels) == (0, 2)
     # 'c: !'d becomes 'c: !'c, which closes the branch alone
     b = Branch()
     for lab in [Sat("c", Prop("p")), Sat("d", Neg(Prop("q"))), Sat("c", Neg(Nom("d")))]:
         b.add(lab, None, "init", ())
-    b.substitute("d", "c")
+    b.substitute("d", "c", 0)
     assert b.closure_witness() == ref_closure(b.labels) == (2, 2)
 
 
@@ -376,7 +376,7 @@ def test_events_away_from_blocking_keep_the_blockinfo():
     assert info.blocker[2] == 1
     # a merge and Prop labels on nominals that no two nodes of one
     # skeleton mention: 'f: <r> q is alone in its skeleton class
-    b.substitute("e", "d")
+    b.substitute("e", "d", 0)
     b.add(Sat("d", Prop("u")), None, "init", ())
     b.add(Sat("f", Prop("u")), None, "init", ())
     assert b.blocking() is info
@@ -401,7 +401,7 @@ def test_merge_that_equalizes_profiles_blocks_as_from_scratch(extra, merge):
     for lab in [Sat("_0", Prop("t")), Sat("a", dia), Sat("c", dia)] + extra:
         b.add(lab, None, "init", ())
     assert not any(b.blocking().direct)  # a and c have different profiles
-    b.substitute(*merge)
+    b.substitute(*merge, 0)
     after = b.blocking()
     assert after.direct == [False, False, True, False, False]
     assert after == scratch_blocking(b.labels, b.prec)
@@ -448,11 +448,11 @@ def test_merges_rewrite_labels_as_one_call_per_label(monkeypatch):
     """Each merge's shared memo gives every label the memo-free rewrite."""
     real_substitute, merges = Branch.substitute, 0
 
-    def checked(branch, a, b):
+    def checked(branch, a, b, deps):
         nonlocal merges
         want = [Sat(b if lab.nom == a else lab.nom, subst_nom(lab.body, a, b))
                 if isinstance(lab, Sat) else lab for lab in branch.labels]
-        real_substitute(branch, a, b)
+        real_substitute(branch, a, b, deps)
         assert branch.labels == want
         merges += 1
 
@@ -488,7 +488,7 @@ def compared_branch():
 @pytest.mark.parametrize("event", [
     lambda b, a: b.add(Sat(a, Prop("s")), None, "init", ()),
     lambda b, a: b.add(Sat(a, Box(fwd("r"), Prop("s"))), None, "init", ()),
-    lambda b, a: b.substitute(a, "e"),
+    lambda b, a: b.substitute(a, "e", 0),
 ], ids=["prop", "box", "merge"])
 @pytest.mark.parametrize("nom, kept", [("d", True), ("a", False), ("c", False)])
 def test_views_reset_exactly_when_a_consulted_nominal_changes(event, nom, kept):
