@@ -95,6 +95,11 @@ class Node:
 
     __slots__ = ("__weakref__", "_noms", "_shape", "_scan", "_concl")
 
+    @classmethod
+    def live(cls, *fields):
+        """The live node with all of these fields, or None; builds none."""
+        return (ref := _TABLE.get((cls, *fields))) and ref()
+
     def __new__(cls, *args, **kw):
         if kw or len(args) != len(cls.__match_args__):
             f = object.__new__(cls)
@@ -247,18 +252,24 @@ def children(f: Formula) -> tuple:
 
 def subst_var(f: Formula, x: str, a: str) -> Formula:
     """Replace every free occurrence of variable x with nominal a."""
-    if isinstance(f, Var):
-        return Nom(a) if f.name == x else f
-    if isinstance(f, ATOMS):
-        return f
-    if isinstance(f, Down):
-        if f.var == x:
-            return f
-        return Down(f.var, subst_var(f.sub, x, a))
-    if isinstance(f, At):
-        at = subst_var(f.at, x, a)
-        return At(at, subst_var(f.sub, x, a))
-    return _rebuild(f, list(map(subst_var, children(f), (x, x), (a, a))))  # one frame per level
+    return subst_vars(f, {x: a}, {})
+
+
+def subst_vars(f: Formula, env: dict, memo: dict) -> Formula:
+    """Replace every free occurrence of each variable in `env` with the nominal it maps
+    to; `memo` maps the subterms rewritten under `env`, so each is walked once."""
+    if isinstance(f, ATOMS) or not env:
+        return Nom(env[f.name]) if isinstance(f, Var) and f.name in env else f
+    out = memo.get(f)
+    if out is None:
+        if isinstance(f, Down) and f.var in env:
+            out = Down(f.var, subst_vars(f.sub, {y: b for y, b in env.items() if y != f.var}, {}))
+        elif isinstance(f, At):
+            out = At(subst_vars(f.at, env, memo), subst_vars(f.sub, env, memo))
+        else:  # one frame per level
+            out = _rebuild(f, list(map(subst_vars, children(f), (env, env), (memo, memo))))
+        memo[f] = out
+    return out
 
 
 def subst_nom(f: Formula, a: str, b: str, memo: dict | None = None) -> Formula:

@@ -21,7 +21,7 @@ from .formulas import (
     Relation,
     Var,
     children,
-    subst_var,
+    subst_vars,
     _rebuild,
 )
 from .fragments import FragmentError, classify, scan
@@ -58,7 +58,7 @@ def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames) 
     if not 0 <= n <= MAX_GRADE:
         raise ValueError("grade must be between 0 and %d, not %d" % (MAX_GRADE, n))
     if n == 0:
-        return Diamond(rel, f)
+        return Diamond(rel, f, None)
     x = fresh.variable()
     ys = [fresh.variable() for _ in range(n)]
 
@@ -68,11 +68,11 @@ def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames) 
         for y in ys[:i]:
             body = And(body, Neg(Var(y)))
         if i < n:
-            inner = Down(ys[i], At(Var(x), Diamond(rel, chain(i + 1))))
+            inner = Down(ys[i], At(Var(x), Diamond(rel, chain(i + 1), None)))
             body = And(body, inner)
         return body
 
-    return Down(x, Diamond(rel, chain(0)))
+    return Down(x, Diamond(rel, chain(0), None))
 
 
 def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames) -> Formula:
@@ -81,26 +81,24 @@ def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames) -> F
         n=0:  [R] f
         n=1:  [R] f | down x . <R> (down y1 . @x [R] (f | y1))
         n=2:  [R] f | down x . <R> (down y1 . @x <R> (down y2 .
-                              @x [R] (f | y1 | y2)))
-    """
+                              @x [R] (f | (y1 | y2))))
+    The exceptions nest to the right, as the parser reads `|`: a split
+    tries one disjunct at a time, and each side is a subformula."""
     if not 0 <= n <= MAX_GRADE:
         raise ValueError("grade must be between 0 and %d, not %d" % (MAX_GRADE, n))
     if n == 0:
-        return Box(rel, f)
+        return Box(rel, f, None)
     x = fresh.variable()
     ys = [fresh.variable() for _ in range(n)]
 
-    final: Formula = f
-    for y in ys:
-        final = Or(final, Var(y))
-    final = Box(rel, final)
-
-    body = At(Var(x), final)
-    for y in reversed(ys[1:]):
-        body = Diamond(rel, Down(y, body))
-        body = At(Var(x), body)
-    body = Diamond(rel, Down(ys[0], body))
-    return Or(Box(rel, f), Down(x, body))
+    exceptions: Formula = Var(ys[-1])
+    for y in reversed(ys[:-1]):
+        exceptions = Or(Var(y), exceptions)
+    body = At(Var(x), Box(rel, Or(f, exceptions), None))
+    for j in reversed(range(n)):
+        body = Diamond(rel, Down(ys[j], body), None)
+        body = At(Var(x), body) if j else body
+    return Or(Box(rel, f, None), Down(x, body))
 
 
 def expand_grades(f: Formula, fresh: FreshNames) -> Formula:
@@ -137,23 +135,19 @@ def tau(f: Formula, fresh: FreshNames) -> Formula:
     if not found.down_box:
         return f
     critical = {path for _, path in found.down_box}
-    return _tau(f, (), critical, fresh)
+    return _tau(f, (), critical, fresh, {})
 
 
-def _tau(f: Formula, path: tuple, critical: set, fresh: FreshNames) -> Formula:
-    """`path` is f's position in the input of `tau`; substitution keeps
-    the shape, so it still indexes the binders found there.
-    """
-    if isinstance(f, Down):
-        if path not in critical:
-            return f
+def _tau(f: Formula, path: tuple, critical: set, fresh: FreshNames, env: dict) -> Formula:
+    """`path` is f's position in the input of `tau`; `env` maps the variables of the binders
+    skolemized above f to their nominals, substituted in one pass where the translation stops."""
+    if isinstance(f, Down) and path in critical:
         b = fresh.nominal()
-        return And(Nom(b), _tau(subst_var(f.sub, f.var, b), path + (0,), critical, fresh))
+        return And(Nom(b), _tau(f.sub, path + (0,), critical, fresh, {**env, f.var: b}))
     if isinstance(f, (At, And, Or, Diamond, E)):
-        return _rebuild(
-            f, [_tau(g, path + (i,), critical, fresh) for i, g in enumerate(children(f))]
-        )
-    return f
+        subs = [_tau(g, path + (i,), critical, fresh, env) for i, g in enumerate(children(f))]
+        return At(subst_vars(f.at, env, {}), subs[0]) if isinstance(f, At) else _rebuild(f, subs)
+    return subst_vars(f, env, {})
 
 
 def preprocess(problem: Problem) -> Problem:

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import disjunction
 # The benchmark's tracer (perfbench/tracing.py) patches recompute_blocking,
 # nominals and subst_var in this module by name; call them as module globals.
 from .blocking import BlockInfo, nominal_profiles, recompute_blocking
@@ -106,8 +107,8 @@ def is_blockable(lab) -> bool:
 def edge_label(a: str, rel: Relation, b: str) -> Sat:
     """The node label recording an edge from a to b along rel."""
     if rel.is_forward:
-        return Sat(a, Diamond(rel, Nom(b)))
-    return Sat(b, Diamond(fwd(rel.sym), Nom(a)))
+        return Sat(a, Diamond(rel, Nom(b), None))
+    return Sat(b, Diamond(fwd(rel.sym), Nom(a), None))
 
 
 def edge_readings(lab: Sat):
@@ -130,7 +131,7 @@ def _literal(f):
 
 
 def _self_clash(lab) -> bool:
-    return isinstance(lab.body, Bot) or (isinstance(lab.body, Neg) and lab.body.sub == Nom(lab.nom))
+    return isinstance(lab.body, Bot) or (isinstance(lab.body, Neg) and lab.body.sub is Nom.live(lab.nom))
 
 
 def _is_eq(lab) -> bool:
@@ -357,6 +358,19 @@ class Branch:
         """
         return self.clash
 
+    def refuters(self, d: Sat):
+        """The nodes refuting disjunct d = 'w: g: none for false or !'w, the
+        complement of a literal, 'w: !'c or 'c: !'w for g = 'c; else None."""
+        if _self_clash(d):
+            return ()
+        g, lit, j = d.body, _literal(d.body), None
+        if lit is not None:
+            j = self.lits.get((d.nom, lit[0], not lit[1]))
+        elif isinstance(g, Nom):
+            labs = (Sat.live(d.nom, Neg.live(g)), Sat.live(g.name, Neg.live(Nom.live(d.nom))))
+            j = next((self.labels.index(lab) for lab in labs if lab in self.npl), None)
+        return None if j is None else (j,)
+
     def clash_deps(self) -> int:
         """The splits the clash rests on: the clashing nodes' deps, which
         hold those of the equalities that renamed them."""
@@ -430,6 +444,11 @@ def step(branch: Branch):
     equality merge, the rules of `_extensions` in its order, the
     disjunction split, then the witness rules.
 
+    A split of 'w: L | R reads each side as its chain of disjuncts (`disjunction`).  A
+    side whose chain holds a label of the branch is added (rule or-sat).  A side whose
+    disjuncts are all refuted at w is dropped and the other added (or-unit); so is R
+    when its other disjuncts are nominals interchangeable with a nominal one of L.
+
     Returns one of:
         ("closed", None)   the branch is closed
         ("applied", None)  a rule extended or rewrote the branch
@@ -459,19 +478,23 @@ def step(branch: Branch):
         if key is not None:
             branch.done.add(key)
 
-    # disjunction: split
+    # disjunction: add the one side that matters, or split
     for p in range(branch.split, len(live)):
         branch.split = p
         i = live[p]
         if isinstance(labels[i].body, Or):
-            left, right = conclusions(labels[i])
-            if left in npl or right in npl:
+            sides = conclusions(labels[i])
+            if sides[0] in npl or sides[1] in npl:
                 continue
+            one = disjunction.one_side(branch, i, sides)
+            if one is not None:
+                branch.add(sides[one[0]], branch.prec[i], one[1], one[2])
+                return ("applied", None)
             bit = 1 << branch.depth
             branch.depth += 1
             other = branch.copy()
-            branch.add(left, branch.prec[i], "or-left", (i,), bit)
-            other.add(right, other.prec[i], "or-right", (i,), bit)
+            branch.add(sides[0], branch.prec[i], "or-left", (i,), bit)
+            other.add(sides[1], other.prec[i], "or-right", (i,), bit)
             return ("split", other)
     branch.split = len(live)
 
@@ -549,7 +572,7 @@ def _extensions(branch: Branch):
             for j in boxes.get(x, ()):
                 g = labels[j].body
                 if ("Trans", p, j) not in done and branch.has_incl(rel, g.rel):
-                    yield ((Sat(y, Box(rel, g.sub)),), m, "Trans",
+                    yield ((Sat(y, Box(rel, g.sub, None)),), m, "Trans",
                            (j, m, branch.trans[rel.sym]), ("Trans", p, j))
 
 
@@ -610,6 +633,9 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
     splits of both its sides, less its own, or on those of one side that
     did not use its disjunct.  Only closed subtrees are skipped, so a
     "sat" result is the branch that plain depth-first search returns.
+    An or-unit node that drops a nominal disjunct by symmetry does not follow from
+    the branch, but a model with the dropped disjunct gives one with the kept one, so
+    the kept side closes only if the dropped one would; every split disjunct is a premise.
     """
     limits = limits or Limits()
     start = time.monotonic()

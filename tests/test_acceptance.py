@@ -130,7 +130,7 @@ def test_criterion_3_graded_rewrites():
         0: Box(r, p),
         1: Or(Box(r, p), Down("_v1", Diamond(r, Down("_v2", At(x, Box(r, Or(p, y1))))))),
         2: Or(Box(r, p), Down("_v1", Diamond(r, Down("_v2", At(x, Diamond(r, Down(
-            "_v3", At(x, Box(r, Or(Or(p, y1), y2)))))))))),
+            "_v3", At(x, Box(r, Or(p, Or(y1, y2))))))))))),
     }
     ok = True
     detail = []

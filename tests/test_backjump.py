@@ -14,11 +14,12 @@ import pytest
 
 from hylotab import tableau
 from hylotab.corpus import enumerate_small_formulas, random_fragment_problem
+from hylotab.disjunction import Symmetry
 from hylotab.fragments import FragmentError
-from hylotab.parser import Problem, parse
+from hylotab.parser import Problem, parse, parse_formula
 from hylotab.preprocess import preprocess
-from hylotab.semantics import validate_extraction
-from hylotab.tableau import Branch, Limits, init_branch, solve
+from hylotab.semantics import bounded_sat, validate_extraction
+from hylotab.tableau import Branch, Limits, Sat, init_branch, solve
 
 from test_engine_golden import COUNTING_SHAPES, LIMITS, corpus, counting_problems
 from test_semantics import EXTRACTION_FAILURES
@@ -153,22 +154,23 @@ def test_backjumping_agrees_with_plain_search(name, recorded_merges):
     wrong, counts = disagreements(problems(), limits)
     assert wrong == []
     assert counts["decided"] >= counts["dfs decided"] > 0
-    if name != "enumerated":  # too small to split twice
-        assert counts["pruning"] > 0, counts
+    if name in ("golden", "random"):  # enumerated is too small to split twice,
+        assert counts["pruning"] > 0, counts  # and counting splits once
 
 
 @pytest.mark.parametrize(
     "text, verdict, branches, pruned",
     [
         # both sides of the second split close by its disjuncts alone, so the
-        # first split's right branch is skipped (plain search: 4 branches)
-        ("formula: (p | q) & (r | s) & !r & !s;", "unsat", 2, 1),
+        # first split's right branch is skipped (plain search: 4 branches);
+        # each disjunct is refuted only once its witness takes the box
+        ("formula: (p | q) & (<r> t | <r> u) & [r] !t & [r] !u;", "unsat", 2, 1),
         # the second split's right side closes without its disjunct and
         # without the first split, whose right branch is skipped too
         ("formula: ([r] !t | b) & (<r> t | v) & <r> <r> s & [r] [r] !s;", "unsat", 2, 1),
         # the left side of the second split used the first split, so the
         # first split's right branch is explored, and it is open
-        ("formula: ([r] !t | u) & (<r> t | v) & !v;", "sat", 3, 0),
+        ("formula: ([r] !t | u) & (<r> t | <r> v) & [r] !v;", "sat", 3, 0),
     ],
 )
 def test_backjumping_over_two_splits(text, verdict, branches, pruned):
@@ -220,3 +222,110 @@ def test_exact_merge_deps_decide_the_hard_tail(seed, depth, most):
     res = solve(q, Limits(max_branches=300))
     assert res.verdict == "sat" and res.stats["branches"] <= most
     assert validate_extraction(res.branch, res.blocking, q)[0]
+
+
+# -- graded pigeonholes: the split phase's implied, refuted and symmetric sides --
+
+UNCAPPED = Limits(max_nodes=100_000, max_branches=10_000, timeout=60)
+
+
+@pytest.mark.parametrize("shape", COUNTING_SHAPES)
+def test_counting_up_to_6_is_decided_in_a_few_branches(shape):
+    """Sat iff n < m, as the construction says, in at most 3 branches,
+    where plain splitting needed 14,251 for (6, 6); plain search, which
+    shares `step`, agrees."""
+    wrong = []
+    for n in range(7):
+        for m in range(7):
+            q = preprocess(parse(shape.format(n=n, m=m)))
+            res = solve(q, UNCAPPED)
+            want = "sat" if n < m else "unsat"
+            if (res.verdict, dfs_solve(q, UNCAPPED)[0]) != (want, want) or res.stats["branches"] > 3:
+                wrong.append((n, m, res.verdict, res.stats["branches"]))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("shape", [COUNTING_SHAPES[k] for k in (0, 1, 3)])
+def test_counting_agrees_with_the_bounded_oracle(shape):
+    for n in range(2):
+        for m in range(2):
+            q = preprocess(parse(shape.format(n=n, m=m)))
+            assert solve(q).is_sat == (bounded_sat(q, 3) is not None), (n, m)
+
+
+@pytest.mark.parametrize("extra, branches", [
+    ("", 1),                            # 'c and 'd are interchangeable
+    (" & @'c q", 2),                    # one label tells them apart
+    (" & @'w [r] !q & @'c <r> q", 2),   # so does one edge's witness
+])
+def test_only_interchangeable_nominals_are_dropped(extra, branches):
+    """'w: 'd is dropped only when (c d) keeps the branch; otherwise 'w: 'c
+    closes and 'w: 'd is the open side."""
+    q = preprocess(parse("formula: @'w ('c | 'd) & @'w !q%s;" % extra))
+    res = solve(q)
+    assert (res.verdict, res.stats["branches"]) == ("sat", branches)
+    assert validate_extraction(res.branch, res.blocking, q)[0]
+    rules = [rule for rule, _ in res.branch.prov]
+    assert ("or-right" in rules, "or-unit" in rules) == ((True, False) if extra else (False, True))
+
+
+@pytest.mark.parametrize("texts, swaps", [
+    (["'w: 'c | 'd", "'c: q", "'d: q"], True),
+    (["'w: 'd | ('e | 'c)", "'c: q", "'d: q"], True),      # or-chains are sets
+    (["'w: 'c | 'd", "'c: q", "'d: q", "'d: <r> q"], False),
+    (["'w: 'c | 'd", "'c: q", "'d: q", "'w: @'c q"], True),      # implied by 'c: q
+    (["'w: 'c | 'd", "'c: q", "'d: q", "'w: <r> 'c"], False),    # an edge
+    (["'w: 'c | 'd", "'c: q & p", "'c: q", "'c: p", "'d: q"], False),
+    (["'w: 'c | 'd", "'c: q & p", "'c: q", "'c: p", "'d: q", "'d: p"], True),  # implied
+])
+def test_near_symmetric_nominals_do_not_swap(texts, swaps):
+    """Nominals that differ by one label, other than one that smaller
+    labels imply, are not interchangeable."""
+    b = Branch()
+    for text in texts:
+        nom, body = text.split(": ", 1)
+        b.add(Sat(nom[1:], parse_formula(body)), None, "init", ())
+    b.blocking()
+    assert Symmetry(b, {"c", "d"}).swaps("c", "d") == swaps
+
+
+def test_unit_and_implied_sides_rest_on_their_premises(monkeypatch):
+    """An or-unit or or-sat node gets no split bit of its own: its deps
+    are exactly those of its premises."""
+    real_add, seen = Branch.add, {"or-unit": 0, "or-sat": 0}
+
+    def checked(branch, lab, parent, rule, premises, split=0):
+        i = real_add(branch, lab, parent, rule, premises, split)
+        if rule in seen:
+            want = 0
+            for p in premises:
+                want |= branch.deps[p]
+            assert split == 0 and branch.deps[i] == want
+            seen[rule] += 1
+        return i
+
+    monkeypatch.setattr(Branch, "add", checked)
+    for _pid, problem in [*counting_problems(5), *corpus()]:
+        try:
+            solve(preprocess(problem), DIFF_LIMITS)
+        except FragmentError:
+            pass
+    assert seen["or-unit"] > 100 and seen["or-sat"] > 100, seen
+
+
+def test_only_splits_hold_split_bits(recorded_merges):
+    """`ref_deps` gives a bit to or-left and or-right nodes only; on
+    branches full of or-unit and or-sat nodes the deps still match it,
+    with one bit per split disjunct on the branch."""
+    units = 0
+    for _pid, problem in counting_problems(5):
+        res = solve(preprocess(problem), DIFF_LIMITS)
+        b = res.branch
+        rules = [rule for rule, _ in b.prov]
+        units += rules.count("or-unit") + rules.count("or-sat")
+        every = 0
+        for d in b.deps:
+            every |= d
+        assert b.deps == ref_deps(b)
+        assert bin(every).count("1") == rules.count("or-left") + rules.count("or-right")
+    assert units > 100

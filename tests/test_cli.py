@@ -52,7 +52,7 @@ def test_solve_stats(tmp_path, capsys):
     assert lines[0] == "RESULT: UNSAT"
     stats = json.loads(lines[1])
     assert stats.pop("seconds") >= 0
-    assert stats == {"branches": 2, "steps": 7, "pruned": 1, "limit": None}
+    assert stats == {"branches": 1, "steps": 6, "pruned": 1, "limit": None}
     assert lines[2].startswith("(0) ")
     f = write(tmp_path, "p.hl", "formula: [A] <r> true;")
     assert main(["solve", f, "--stats", "--max-nodes", "3"]) == 2

@@ -77,7 +77,7 @@ def test_graded_box_shapes():
 def test_graded_box_n2():
     got = expand_graded_box(r, 2, p, FreshNames())
     x = Var("_v1")
-    final = Box(r, Or(Or(p, Var("_v2")), Var("_v3")))
+    final = Box(r, Or(p, Or(Var("_v2"), Var("_v3"))))
     body = Diamond(r, Down("_v2", At(x, Diamond(r, Down("_v3", At(x, final))))))
     want = Or(Box(r, p), Down("_v1", body))
     assert got == want

@@ -2,6 +2,7 @@ import pytest
 
 from hylotab import tableau
 from hylotab.blocking import BlockInfo, recompute_blocking
+from hylotab.corpus import random_fragment_problem
 from hylotab.formulas import (
     A, And, At, Bot, Box, Diamond, Down, Incl, Neg, Nom, Or, Prop, Var, bwd, fwd, nominals,
     subst_nom,
@@ -457,7 +458,7 @@ def test_merges_rewrite_labels_as_one_call_per_label(monkeypatch):
         merges += 1
 
     monkeypatch.setattr(Branch, "substitute", checked)
-    for _pid, problem in corpus():
+    for _pid, problem in [*corpus(), *deep_random_corpus()]:
         try:
             prepared = preprocess(problem)
         except FragmentError:
@@ -466,11 +467,21 @@ def test_merges_rewrite_labels_as_one_call_per_label(monkeypatch):
     assert merges > 200
 
 
+def deep_random_corpus():
+    """Random fragment problems 0-39 at depths 8-10.  They still split and
+    merge, where the counting problems now split once and merge little."""
+    for depth in (8, 9, 10):
+        for s in range(40):
+            yield "d%d-%d" % (depth, s), random_fragment_problem(s, depth=depth)
+
+
 def wider_corpus():
-    """The golden corpus and the counting problems with n, m <= 3 it leaves out."""
+    """The golden corpus, the counting problems with n, m <= 3 it leaves
+    out, and the deep random corpus."""
     golden = dict(corpus())
     return list(golden.items()) + [
-        (pid, problem) for pid, problem in counting_problems(4) if pid not in golden]
+        (pid, problem) for pid, problem in counting_problems(4) if pid not in golden
+    ] + list(deep_random_corpus())
 
 
 def compared_branch():
@@ -554,8 +565,9 @@ def mutable_parts(value, out):
 
 
 def test_split_copy_shares_no_mutable_state(monkeypatch):
-    """Checked at every split of the golden corpus: the copy's containers,
-    its BlockInfo's lists and skeleton groups included, are its own."""
+    """Checked at every split of the golden and deep random corpora: the
+    copy's containers, its BlockInfo's lists and skeleton groups included,
+    are its own."""
     real_copy, splits = Branch.copy, 0
 
     def checked(branch):
@@ -568,7 +580,7 @@ def test_split_copy_shares_no_mutable_state(monkeypatch):
         return other
 
     monkeypatch.setattr(Branch, "copy", checked)
-    for _pid, problem in corpus():
+    for _pid, problem in [*corpus(), *deep_random_corpus()]:
         try:
             prepared = preprocess(problem)
         except FragmentError:
