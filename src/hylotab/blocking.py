@@ -8,11 +8,11 @@ label.  Both sets come from one pass over the nodes in creation order
 (`BlockInfo.extend`), which decides phantom status first: a phantom is
 never also directly blocked, and the offspring parent of every
 non-phantom node is itself unblocked.  A node depends
-only on earlier nodes, the nominal profiles and the top nominals, so
-while those stay the same the pass continues over new nodes instead of
-starting again.  The pass also records the nominals of the labels it
-compared (`BlockInfo.consulted`); a change to any other nominal leaves
-every decision made so far as it is.
+only on earlier nodes, the nominal profiles and the top nominals, which
+the branch keeps; a `BlockInfo` holds only decisions, and the pass
+continues over new nodes instead of starting again.  The pass also
+records the nominals of the labels it compared (`BlockInfo.consulted`);
+a change to any other nominal leaves every decision made so far as it is.
 
 A renaming can only exist between labels whose bodies have the same
 nominal-erased skeleton (`formulas.shape`).  The pass therefore keeps
@@ -23,35 +23,21 @@ groups keep node order, so the least blocker found is the same.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .formulas import Box, Prop, nominals, shape
+from .formulas import nominals, shape
 
 
-def nominal_profiles(sat_labels) -> dict:
-    """For each nominal: the propositions and box-form bodies it labels.
-    Two nominals are compatible when their profiles are equal.
-    """
-    props: dict = defaultdict(set)
-    boxes: dict = defaultdict(set)
-    for lab in sat_labels:
-        if isinstance(lab.body, Prop):
-            props[lab.nom].add(lab.body.name)
-        elif isinstance(lab.body, Box):
-            boxes[lab.nom].add((lab.body.rel, lab.body.grade, lab.body.sub))
-    return {a: (frozenset(props[a]), frozenset(boxes[a])) for a in props.keys() | boxes.keys()}
-
-
-_EMPTY = (frozenset(), frozenset())
+# A nominal's profile: the propositions and box-form bodies it labels.
+EMPTY_PROFILE = (frozenset(), frozenset())
 
 
 # The benchmark's tracer (perfbench/tracing.py) patches and counts
 # `maps_to` by name, so `BlockInfo.extend` calls it as a module global.
 def maps_to(lab_m, lab_n, top_noms, profiles) -> bool:
     """True iff lab_m can be turned into lab_n by an injective renaming
-    of non-top nominals where each nominal is renamed to a compatible
-    one (top nominals must stay fixed).
+    of non-top nominals, each to a compatible one: one with an equal
+    profile (top nominals must stay fixed).
     """
     skel_m, names_m = shape(lab_m.body)
     skel_n, names_n = shape(lab_n.body)
@@ -68,37 +54,33 @@ def maps_to(lab_m, lab_n, top_noms, profiles) -> bool:
     if len(set(pi.values())) != len(pi):
         return False
     for d, e in pi.items():
-        if d != e and profiles.get(d, _EMPTY) != profiles.get(e, _EMPTY):
+        if d != e and profiles.get(d, EMPTY_PROFILE) != profiles.get(e, EMPTY_PROFILE):
             return False
     return True
 
 
 @dataclass
 class BlockInfo:
-    """Blocking of the first len(direct) nodes of a branch under the
-    current nominal profiles and top nominals (both are replaced, never
-    changed in place).  Node i depends only on the nodes before it, so
-    `extend` decides new nodes without revisiting old ones."""
+    """The blocking decisions for the first len(direct) nodes of a branch.
+    Node i depends only on the nodes before it and on the profiles and top
+    nominals that the branch keeps, so `extend` decides new nodes without
+    revisiting old ones."""
 
     direct: list      # node id -> directly blocked?
     phantom: list     # node id -> phantom (indirectly blocked)?
     blocker: list     # node id -> blocking node id, or None
-    profiles: dict    # nominal -> profile
-    top_noms: set
     groups: dict      # skeleton -> unblocked blockable nodes, in node order
     consulted: set    # the nominals of both labels of every pair given to maps_to
 
     def copy(self) -> "BlockInfo":
-        """A copy with its own lists and `consulted`; it shares the profiles
-        and top nominals.  A decision reads only the profiles, the top
-        status and the names of the two labels it compared, and phantom
-        status follows decisions, so a change to nominals outside
-        `consulted` changes no decided node."""
-        return BlockInfo(self.direct[:], self.phantom[:], self.blocker[:], self.profiles,
-                         self.top_noms, {k: v[:] for k, v in self.groups.items()},
-                         set(self.consulted))
+        """A copy with its own lists, groups and `consulted`.  A decision
+        reads only the profiles, the top status and the names of the two
+        labels it compared, and phantom status follows decisions, so a
+        change to nominals outside `consulted` changes no decided node."""
+        return BlockInfo(self.direct[:], self.phantom[:], self.blocker[:],
+                         {k: v[:] for k, v in self.groups.items()}, set(self.consulted))
 
-    def extend(self, labels, prec, blockable) -> None:
+    def extend(self, labels, prec, blockable, profiles, top_noms) -> None:
         """Decide the nodes from len(direct) on, in node order.  Phantom
         status comes first: as in the source paper, the phantoms are the
         offspring of blocked nodes, so a node whose offspring parent is
@@ -116,7 +98,7 @@ class BlockInfo:
                 for m in group:
                     self.consulted.update((labels[m].nom, labels[i].nom), nominals(labels[m].body),
                                           nominals(labels[i].body))
-                    if maps_to(labels[m], labels[i], self.top_noms, self.profiles):
+                    if maps_to(labels[m], labels[i], top_noms, profiles):
                         hit = m
                         break
                 else:
@@ -126,11 +108,11 @@ class BlockInfo:
             blocker.append(hit)
 
 
-def recompute_blocking(labels, prec, blockable, top_noms, sat_labels, start=None) -> BlockInfo:
+def recompute_blocking(labels, prec, blockable, profiles, top_noms, start=None) -> BlockInfo:
     """Blocking of all nodes: `BlockInfo.extend` from the empty state, or
-    from `start`, a private copy of the blocking of a prefix of the nodes
-    under the current profiles and top nominals.
+    from `start`, a private copy of the decisions for a prefix of the
+    nodes that the current profiles and top nominals leave standing.
     """
-    info = start or BlockInfo([], [], [], nominal_profiles(sat_labels), top_noms, {}, set())
-    info.extend(labels, prec, blockable)
+    info = start or BlockInfo([], [], [], {}, set())
+    info.extend(labels, prec, blockable, profiles, top_noms)
     return info

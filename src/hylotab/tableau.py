@@ -20,7 +20,7 @@ from functools import cached_property
 from . import disjunction
 # The benchmark's tracer (perfbench/tracing.py) patches recompute_blocking,
 # nominals and subst_var in this module by name; call them as module globals.
-from .blocking import BlockInfo, nominal_profiles, recompute_blocking
+from .blocking import EMPTY_PROFILE, BlockInfo, recompute_blocking
 from .formulas import (
     A,
     And,
@@ -143,11 +143,12 @@ class Branch:
     each node's offspring parent (None for root nodes).
 
     The views that `step` reads are kept up to date instead of rebuilt on
-    every step.  The label views depend on the labels alone: `add` extends
-    them and `substitute` patches them.  The live views depend on blocking
-    too: `blocking` extends them.  A substitution or a new Prop or Box
-    label keeps them unless it touches a nominal that blocking compared
-    (`keeps`); a split copy takes a copy of them.
+    every step.  The label views, blocking's profiles and top nominals
+    among them, depend on the labels alone: `_index` takes a Sat node into
+    them, from `add` and, for every node, from `substitute`.  The live
+    views depend on blocking too: `blocking` extends them.  A substitution
+    or a new Prop or Box label keeps them unless it touches a nominal that
+    blocking compared (`keeps`); a split copy takes a copy of them.
 
     `deps` gives each node the splits it rests on, as a bitmask: bit k
     for the k-th split on the path, set on that split's disjunct and
@@ -172,18 +173,21 @@ class Branch:
         self.subst_log: list = []     # (a, b) applied replacements
         self.fresh_counter: int = 0
         self.input_formula: Formula | None = None
-        # label views
+        self.blockable: list = []
+        self.reset_labels()
+        self.reset_live(None)
+
+    def reset_labels(self) -> None:
         self.clash = None             # first contradictory pair
         self.lits: dict = {}          # (nominal, prop, positive?) -> first node
-        self.blockable: list = []
         self.boxes: dict = {}         # nominal -> Box node ids, phantoms included
         self.a_nodes: tuple = ()      # A node ids, phantoms included
-        self.reset_live(None)
+        self.profiles: dict = {}      # nominal -> (props, box forms), phantoms included
+        self.top_noms = frozenset()   # the nominals of node 0
 
     def reset_live(self, info) -> None:
         self.info = info           # BlockInfo of the first `seen` nodes
         self.copied = False        # info is a split copy's snapshot
-        self.stale = False         # info's profiles and `npl` are out of date
         self.live: list = []       # non-phantom Sat node ids
         self.npl: set = set()      # their labels
         self.readings: list = []   # (m, x, rel, y) of live relational nodes
@@ -222,9 +226,17 @@ class Branch:
             split |= deps[p]
         deps.append(split)
         self.blockable.append(is_blockable(lab))
-        if not isinstance(lab, Sat):
-            return i
+        if isinstance(lab, Sat):
+            self._index(i, lab)
+            if isinstance(lab.body, (Prop, Box)):
+                self.keeps({lab.nom})
+        return i
+
+    def _index(self, i, lab) -> None:
+        """Take Sat node i, labelled `lab`, into the label views."""
         f, lit = lab.body, _literal(lab.body)
+        if i == 0:
+            self.top_noms = nominals(f) | {lab.nom}
         if _self_clash(lab):
             self.clash = self.clash or (i, i)
         elif lit is not None:
@@ -233,31 +245,26 @@ class Branch:
                 self.clash = (i, j) if lit[1] else (j, i)
             self.lits.setdefault((lab.nom,) + lit, i)
         if isinstance(f, (Prop, Box)):
-            self.keeps({lab.nom})
+            props, forms = self.profiles.get(lab.nom, EMPTY_PROFILE)
+            self.profiles[lab.nom] = ((props | {f.name}, forms) if isinstance(f, Prop)
+                                      else (props, forms | {(f.rel, f.grade, f.sub)}))
         if isinstance(f, Box):
             self.boxes[lab.nom] = self.boxes.get(lab.nom, ()) + (i,)
         elif isinstance(f, A):
             self.a_nodes += (i,)
-        return i
 
     def keeps(self, noms) -> bool:
-        """Keep the live views when the profiles, top status or names of
-        `noms` change?  Only if blocking compared no label that mentions
-        them (`BlockInfo.consulted`); otherwise reset."""
+        """Keep the live views and BlockInfo when the profiles, top status
+        or names of `noms` change?  Only if blocking compared no label that
+        mentions them (`BlockInfo.consulted`); otherwise reset."""
         if self.info is None or not noms.isdisjoint(self.info.consulted):
             self.reset_live(None)
             return False
-        self.stale = True
         return True
 
     def fresh_nominal(self) -> str:
         self.fresh_counter += 1
         return "%s%d" % (BRANCH_FRESH, self.fresh_counter)
-
-    @property
-    def top_noms(self) -> set:
-        top = self.labels[0]
-        return {top.nom} | nominals(top.body)
 
     def has_incl(self, left: Relation, right: Relation) -> bool:
         """Is the containment left <= right recorded?  A backward right
@@ -268,69 +275,49 @@ class Branch:
         return Incl(left.inv(), right.sym) in self.incls
 
     def substitute(self, a: str, b: str, deps: int) -> None:
-        """Replace nominal a by b in the labels that hold it, and patch the
-        views over them; the other labels stay the same objects.  Each
-        renamed label then also rests on `deps`, the merged equality's.
-        One memo serves the whole merge, so each distinct subterm is walked
-        once.  a's literal and Box entries move to b, and the clash may move
-        to b's literal pairs or a renamed label.
+        """Replace nominal a by b in the labels that hold it; the other
+        labels stay the same objects.  Each renamed label then also rests
+        on `deps`, the merged equality's.  One memo serves the whole merge,
+        so each distinct subterm is walked once.  The label views start
+        again from empty and take in every label, renamed or not, in node
+        order, in the same pass.
         """
-        labels, renamed, memo = self.labels, [], {}
+        labels, memo, owners = self.labels, {}, {a, b}
+        self.reset_labels()
         for i, lab in enumerate(labels):
             if isinstance(lab, Sat):
                 body = subst_nom(lab.body, a, b, memo)
                 if body is not lab.body or lab.nom == a:
-                    labels[i] = Sat(b if lab.nom == a else lab.nom, body)
+                    lab = labels[i] = Sat(b if lab.nom == a else lab.nom, body)
                     self.deps[i] |= deps
-                    renamed.append(i)
+                    if isinstance(body, Box):
+                        owners.add(lab.nom)  # its profile changes
+                self._index(i, lab)
         self.subst_log.append((a, b))
-        lits, props, owners = self.lits, set(), {a, b}
-        closers = [self.clash] if self.clash else []
-        for i in renamed:
-            lab, lit = labels[i], _literal(labels[i].body)
-            if _self_clash(lab):
-                closers.append((i, i))
-            elif lit is not None:
-                j = lits.pop((a,) + lit, None)
-                if j is not None:
-                    lits[(b,) + lit] = min(j, lits.get((b,) + lit, j))
-                    props.add(lit[0])
-            elif isinstance(lab.body, Box):
-                owners.add(lab.nom)  # its profile changes
-        closers += [(lits[(b, p, True)], lits[(b, p, False)]) for p in props
-                    if (b, p, True) in lits and (b, p, False) in lits]
-        # at a tie (one closing node), b's merged pair has the earlier nodes
-        self.clash = min(closers, key=lambda pair: (max(pair), pair), default=None)
-        if a in self.boxes:
-            self.boxes[b] = tuple(sorted(self.boxes.pop(a) + self.boxes.get(b, ())))
         if self.keeps(owners):
-            if a in self.info.top_noms:
-                self.info.top_noms = self.info.top_noms - {a} | {b}
+            self.npl = {labels[i] for i in self.live}
             self.readings = [
                 (m, b if x == a else x, r, b if y == a else y) for m, x, r, y in self.readings]
             self.eq = next((i for i in self.live if _is_eq(labels[i])), None)
             self.first_at, self.first = {}, 0
 
     def blocking(self) -> BlockInfo:
-        """The BlockInfo of the current labels: the last one extended over
-        the new nodes, or recomputed once the live views were reset.  A
-        split copy's snapshot is extended by `recompute_blocking` too: the
-        benchmark's tracer reads the blocked-node counts from the last
+        """The BlockInfo of the current label views: the last one extended
+        over the new nodes, or recomputed once the live views were reset.
+        A split copy's snapshot is extended by `recompute_blocking` too:
+        the benchmark's tracer reads the blocked-node counts from the last
         BlockInfo that function returned.  The live views then take in
         the non-phantom Sat nodes added since the last call.
         """
         labels = self.labels
-        if self.stale:  # after a merge or a Prop or Box label that kept the live views
-            self.info.profiles = nominal_profiles([lab for lab in labels if isinstance(lab, Sat)])
-            self.npl, self.stale = {labels[i] for i in self.live}, False
+        args = (labels, self.prec, self.blockable, self.profiles, self.top_noms)
         if self.info is None:
-            sat_labels = [lab for lab in labels if isinstance(lab, Sat)]
-            self.reset_live(recompute_blocking(labels, self.prec, self.blockable, self.top_noms, sat_labels))
+            self.reset_live(recompute_blocking(*args))
         elif self.copied:
-            recompute_blocking(labels, self.prec, self.blockable, None, None, self.info)
+            recompute_blocking(*args, self.info)
             self.copied = False
         else:
-            self.info.extend(labels, self.prec, self.blockable)
+            self.info.extend(*args)
         for i in range(self.seen, len(labels)):
             lab = labels[i]
             if isinstance(lab, Sat) and not self.info.phantom[i]:

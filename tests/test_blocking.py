@@ -1,5 +1,7 @@
+from collections import defaultdict
+
 from hylotab import tableau
-from hylotab.blocking import maps_to, nominal_profiles, recompute_blocking
+from hylotab.blocking import maps_to, recompute_blocking
 from hylotab.corpus import random_fragment_problem
 from hylotab.formulas import ATOMS, At, Box, Diamond, Down, Neg, Nom, Prop, children, fwd
 from hylotab.parser import parse
@@ -7,6 +9,19 @@ from hylotab.preprocess import preprocess
 from hylotab.tableau import Limits, Sat, is_blockable, solve
 
 from test_engine_golden import COUNTING_SHAPES
+
+
+def nominal_profiles(sat_labels) -> dict:
+    """Reference for `Branch.profiles`: for each nominal, the propositions
+    and box-form bodies it labels, from scratch."""
+    props: dict = defaultdict(set)
+    boxes: dict = defaultdict(set)
+    for lab in sat_labels:
+        if isinstance(lab.body, Prop):
+            props[lab.nom].add(lab.body.name)
+        elif isinstance(lab.body, Box):
+            boxes[lab.nom].add((lab.body.rel, lab.body.grade, lab.body.sub))
+    return {a: (frozenset(props[a]), frozenset(boxes[a])) for a in props.keys() | boxes.keys()}
 
 
 def profiles(*labels):
@@ -76,7 +91,7 @@ def test_recompute_blocking_direct_and_phantom():
     ]
     prec = [None, None, 1, 2]
     blockable = [True, True, False, False]
-    info = recompute_blocking(labels, prec, blockable, set(), labels)
+    info = recompute_blocking(labels, prec, blockable, profiles(*labels), set())
     assert not info.direct[0] and not info.phantom[0]
     assert info.direct[1] and info.blocker[1] == 0
     assert not info.direct[2] and info.phantom[2]
@@ -87,7 +102,7 @@ def test_blocked_nodes_do_not_block():
     lab = Sat("a", Diamond(fwd("r"), Prop("p")))
     labels = [lab, Sat("b", Diamond(fwd("r"), Prop("p"))), Sat("c", Diamond(fwd("r"), Prop("p")))]
     prec = [None, None, None]
-    info = recompute_blocking(labels, prec, [True] * 3, set(), labels)
+    info = recompute_blocking(labels, prec, [True] * 3, profiles(*labels), set())
     # both later nodes are blocked by the first, never by each other
     assert info.blocker[1] == 0 and info.blocker[2] == 0
 
@@ -96,7 +111,7 @@ def test_phantoms_do_not_block():
     dia = lambda a, r, p: Sat(a, Diamond(fwd(r), Prop(p)))
     labels = [dia("a", "r", "p"), dia("b", "r", "p"), dia("c", "s", "q"), dia("d", "s", "q")]
     prec = [None, None, 1, None]
-    info = recompute_blocking(labels, prec, [True] * 4, set(), labels)
+    info = recompute_blocking(labels, prec, [True] * 4, profiles(*labels), set())
     # 2 is a phantom under the blocked 1, so it cannot block 3
     assert info.direct == [False, True, False, False]
     assert info.phantom == [False, False, True, False]

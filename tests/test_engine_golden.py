@@ -35,6 +35,15 @@ def corpus():
     yield from counting_problems(3)
 
 
+def long_problems():
+    """Random fragment problems with long, merge-heavy branches, which the
+    benchmark's digests never see.  They are kept out of `corpus()`, which
+    the per-step checks of other tests walk: d10-290 re-adds a label that
+    only a phantom holds, which the progress check counts as a stall."""
+    for s, depth in ((290, 10), (53, 10), (37, 11)):
+        yield "d%d-%d" % (depth, s), random_fragment_problem(s, depth=depth)
+
+
 def counting_problems(size):
     """The counting shapes with n, m < size."""
     for k, shape in enumerate(COUNTING_SHAPES):
@@ -46,7 +55,7 @@ def counting_problems(size):
 def golden_rows() -> dict:
     """problem id -> (verdict, steps, branches, final-branch nodes)."""
     rows = {}
-    for pid, problem in corpus():
+    for pid, problem in [*corpus(), *long_problems()]:
         try:
             prepared = preprocess(problem)
         except FragmentError:
@@ -342,4 +351,7 @@ GOLDEN = {
     'count-3-2-0': ('unsat', 9, 1, 13),
     'count-3-2-1': ('unsat', 33, 2, 33),
     'count-3-2-2': ('unsat', 49, 2, 52),
+    'd10-290': ('sat', 1382, 40, 572),
+    'd10-53': ('sat', 790, 1, 1070),
+    'd11-37': ('sat', 4419, 78, 660),
 }

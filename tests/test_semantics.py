@@ -261,6 +261,25 @@ def test_extraction_validates_on_small_random_problems(seed, depth):
     assert ok
 
 
+# A chain of 400 diamonds is sat and solves in milliseconds, but the
+# recursive `Evaluator` runs out of stack validating its model (ROADMAP
+# item 4).  Chains of 240 validate on every Python from 3.10 to 3.13;
+# 250 fail from 3.10 to 3.11 and 335 from 3.12 on.
+DEEP_CHAIN = "formula: " + "<r> " * 400 + "p;"
+
+
+def test_deep_diamond_chain_is_sat():
+    sat_branch(DEEP_CHAIN)
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="semantics.Evaluator recurses once per nesting level")
+def test_deep_diamond_chain_validates():
+    res, q = sat_branch(DEEP_CHAIN)
+    ok, _ = validate_extraction(res.branch, res.blocking, q)
+    assert ok
+
+
 def test_saturation_clean_branches():
     for text in [
         "formula: <r> p & [r] q;",

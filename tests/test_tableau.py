@@ -24,6 +24,7 @@ from hylotab.tableau import (
     solve,
 )
 
+from test_blocking import nominal_profiles
 from test_engine_golden import LIMITS, corpus, counting_problems
 
 REFUTATION = "trans r; r <= s; s <= r; formula: <s> <s> p & [s] !p;"
@@ -246,9 +247,20 @@ def scratch_blocking(labels, prec):
         labels,
         prec,
         [is_blockable(lab) for lab in labels],
+        nominal_profiles([lab for lab in labels if isinstance(lab, Sat)]),
         {labels[0].nom} | nominals(labels[0].body),
-        [lab for lab in labels if isinstance(lab, Sat)],
     )
+
+
+def scratch_lits(labels):
+    """(nominal, prop, positive?) -> first node, computed from empty."""
+    lits = {}
+    for i, lab in enumerate(labels):
+        if isinstance(lab, Sat) and isinstance(lab.body, Prop):
+            lits.setdefault((lab.nom, lab.body.name, True), i)
+        elif isinstance(lab, Sat) and isinstance(lab.body, Neg) and isinstance(lab.body.sub, Prop):
+            lits.setdefault((lab.nom, lab.body.sub.name, False), i)
+    return lits
 
 
 def check_index(branch):
@@ -266,8 +278,11 @@ def check_index(branch):
     assert branch.a_nodes == tuple(
         i for i, lab in enumerate(labels) if isinstance(lab, Sat) and isinstance(lab.body, A)
     )
+    assert branch.lits == scratch_lits(labels)
+    assert branch.profiles == nominal_profiles([lab for lab in labels if isinstance(lab, Sat)])
+    assert branch.top_noms == {labels[0].nom} | nominals(labels[0].body)
     assert branch.seen == len(labels) and not branch.copied
-    # decisions, profiles of all labels, top nominals and skeleton groups
+    # decisions, skeleton groups and compared nominals
     info = scratch_blocking(labels, branch.prec)
     assert branch.info == info
     live = [i for i, lab in enumerate(labels) if isinstance(lab, Sat) and not info.phantom[i]]
@@ -382,7 +397,7 @@ def test_events_away_from_blocking_keep_the_blockinfo():
     b.add(Sat("f", Prop("u")), None, "init", ())
     assert b.blocking() is info
     assert (info.direct[:6], info.phantom[:6], info.blocker[:6]) == decisions
-    assert info.profiles["d"] == (frozenset({"q", "s", "u"}), frozenset())
+    assert b.profiles["d"] == (frozenset({"q", "s", "u"}), frozenset())
     check_index(b)
 
 
@@ -506,7 +521,7 @@ def test_views_reset_exactly_when_a_consulted_nominal_changes(event, nom, kept):
     b, info = compared_branch()
     event(b, nom)
     if kept:
-        assert b.info is info and b.stale
+        assert b.info is info
     else:
         assert b.info is None
     b.blocking()
@@ -549,11 +564,9 @@ def test_index_matches_from_scratch_views(monkeypatch):
 def mutable_parts(value, out):
     """Add to `out` the ids of the lists, dicts and sets reachable from
     `value` through them, tuples and BlockInfo fields; labels are
-    immutable and not entered.  A BlockInfo's profiles and top nominals
-    are left out: they are replaced, never changed in place, so a split
-    copy may share them."""
+    immutable and not entered."""
     if isinstance(value, BlockInfo):
-        value = tuple(v for k, v in vars(value).items() if k not in ("profiles", "top_noms"))
+        value = tuple(vars(value).values())
     elif isinstance(value, (list, dict, set)):
         out.add(id(value))
     if isinstance(value, dict):
