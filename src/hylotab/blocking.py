@@ -23,9 +23,7 @@ groups keep node order, so the least blocker found is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formulas import nominals, shape
+from .formulas import Record, nominals, shape
 
 
 # A nominal's profile: the propositions and box-form bodies it labels.
@@ -59,18 +57,18 @@ def maps_to(lab_m, lab_n, top_noms, profiles) -> bool:
     return True
 
 
-@dataclass
-class BlockInfo:
+class BlockInfo(Record):
     """The blocking decisions for the first len(direct) nodes of a branch.
     Node i depends only on the nodes before it and on the profiles and top
     nominals that the branch keeps, so `extend` decides new nodes without
     revisiting old ones."""
 
-    direct: list      # node id -> directly blocked?
-    phantom: list     # node id -> phantom (indirectly blocked)?
-    blocker: list     # node id -> blocking node id, or None
-    groups: dict      # skeleton -> unblocked blockable nodes, in node order
-    consulted: set    # the nominals of both labels of every pair given to maps_to
+    def __init__(self, direct, phantom, blocker, groups, consulted):
+        self.direct = direct        # node id -> directly blocked?
+        self.phantom = phantom      # node id -> phantom (indirectly blocked)?
+        self.blocker = blocker      # node id -> blocking node id, or None
+        self.groups = groups        # skeleton -> unblocked blockable nodes, in node order
+        self.consulted = consulted  # the nominals of both labels of every pair given to maps_to
 
     def copy(self) -> "BlockInfo":
         """A copy with its own lists, groups and `consulted`.  A decision

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 from .formulas import (
     A,
@@ -23,6 +22,7 @@ from .formulas import (
     Formula,
     Incl,
     Neg,
+    Node,
     Nom,
     Or,
     Prop,
@@ -31,6 +31,7 @@ from .formulas import (
     Var,
     bwd,
     fwd,
+    node,
 )
 from .fragments import scan
 from .parser import Problem
@@ -86,8 +87,8 @@ def frame_property(name: str, rel: str = "r", n: int = 2):
 # ---------------------------------------------------------------------------
 # Tiling-style stress formulas
 
-@dataclass(frozen=True)
-class Tile:
+@node
+class Tile(Node):
     name: str
     left: str
     right: str

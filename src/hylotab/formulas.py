@@ -1,18 +1,110 @@
 """Formula and assertion ASTs, negation normal form, substitutions and
 inspection helpers for multi-modal hybrid logic.
 
-Formulas are immutable, interned trees: equal formulas are one object, so
-`==` and `hash` are identity and never walk a tree (label comparison is
-pervasive in the tableau engine and in blocking).  Each node keeps its
-nominals, its nominal-erased shape and its `fragments.scan` once computed.
+Formulas, relations and assertions are immutable, interned terms: equal
+terms are one object, so `==` and `hash` are identity and never walk a
+tree (label comparison is pervasive in the tableau engine and in
+blocking).  Each formula node keeps its nominals, its nominal-erased
+shape and its `fragments.scan` once computed.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 FRESH_PREFIX = "_"
+
+
+# ---------------------------------------------------------------------------
+# Interned nodes
+
+# (class, *fields) -> weak reference to the one live node with them
+_TABLE: dict = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    """Drop a dead node's entry, unless a newer node has taken its key."""
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+class Node:
+    """Base of the immutable term classes.  Building a node returns the
+    live node with the same class and fields; derived facts (`nominals`,
+    `shape`, `fragments.scan`, `tableau.conclusions`) are kept on it."""
+
+    __slots__ = ("__weakref__", "_noms", "_shape", "_scan", "_concl")
+    __match_args__: tuple = ()  # the field names, in order
+    _defaults: dict = {}        # field name -> default value
+
+    @classmethod
+    def live(cls, *fields):
+        """The live node with all of these fields, or None; builds none."""
+        return (ref := _TABLE.get((cls, *fields))) and ref()
+
+    def __new__(cls, *args, **kw):
+        names = cls.__match_args__
+        if kw or len(args) != len(names):
+            args = cls._complete(args, kw)
+        key = (cls, *args)
+        f = (ref := _TABLE.get(key)) and ref()
+        if f is None:
+            f = object.__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(f, name, value)
+            ref = _TABLE[key] = _Ref(f, _forget)
+            ref.key = key
+        return f
+
+    @classmethod
+    def _complete(cls, args: tuple, kw: dict) -> tuple:
+        """All the fields, in order: `args`, then those named in `kw`, then
+        the defaults.  A field that is unknown, missing or given twice, or
+        one field too many, is a TypeError."""
+        names, rest = cls.__match_args__, cls.__match_args__[len(args):]
+        if len(args) > len(names) or not kw.keys() <= set(rest):
+            raise TypeError("%s takes the fields %s, not %d by position and %s by name"
+                            % (cls.__name__, names, len(args), sorted(kw)))
+        values = {**cls._defaults, **kw}
+        try:
+            return args + tuple(values[name] for name in rest)
+        except KeyError as missing:
+            raise TypeError("%s is missing the field %s" % (cls.__name__, missing)) from None
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # on this error path only
+
+        raise FrozenInstanceError("cannot assign to or delete field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__match_args__))
+
+
+def node(cls):
+    """Rebuild a Node subclass as a slotted class whose fields are its
+    annotations, in order; a class attribute named like a field is its
+    default."""
+    ns = dict(vars(cls))
+    names = tuple(ns.get("__annotations__", ()))
+    ns["_defaults"] = {name: ns.pop(name) for name in names if name in ns}
+    ns["__slots__"] = ns["__match_args__"] = names
+    ns.pop("__dict__", None)
+    return type(cls.__name__, cls.__bases__, ns)
+
+
+class Record:
+    """Base of the mutable records that are compared: equal when of one
+    class with equal attributes."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
 # ---------------------------------------------------------------------------
@@ -22,8 +114,8 @@ FORWARD = "forward"
 BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class Relation:
+@node
+class Relation(Node):
     """A relation symbol used forward (r) or backward (r-)."""
 
     sym: str
@@ -48,8 +140,8 @@ def bwd(sym: str) -> Relation:
     return Relation(sym, BACKWARD)
 
 
-@dataclass(frozen=True)
-class Trans:
+@node
+class Trans(Node):
     """Transitivity assertion for a relation symbol."""
 
     sym: str
@@ -58,8 +150,8 @@ class Trans:
         return "trans %s" % self.sym
 
 
-@dataclass(frozen=True)
-class Incl:
+@node
+class Incl(Node):
     """Normalized inclusion: left side may be backward, right side is a
     forward symbol (r- <= s- is spelled r <= s, r <= s- is spelled r- <= s).
     """
@@ -73,56 +165,6 @@ class Incl:
 
 # ---------------------------------------------------------------------------
 # Formulas
-
-# (class, *fields) -> weak reference to the one live node with them
-_TABLE: dict = {}
-
-
-class _Ref(weakref.ref):
-    __slots__ = ("key",)
-
-
-def _forget(ref: _Ref) -> None:
-    """Drop a dead node's entry, unless a newer node has taken its key."""
-    if _TABLE.get(ref.key) is ref:
-        del _TABLE[ref.key]
-
-
-class Node:
-    """Base of the immutable tree classes.  Building a node returns the
-    live node with the same class and fields; derived facts (`nominals`,
-    `shape`, `fragments.scan`, `tableau.conclusions`) are kept on it."""
-
-    __slots__ = ("__weakref__", "_noms", "_shape", "_scan", "_concl")
-
-    @classmethod
-    def live(cls, *fields):
-        """The live node with all of these fields, or None; builds none."""
-        return (ref := _TABLE.get((cls, *fields))) and ref()
-
-    def __new__(cls, *args, **kw):
-        if kw or len(args) != len(cls.__match_args__):
-            f = object.__new__(cls)
-            cls._fill(f, *args, **kw)  # checks the fields, fills in defaults
-            args = tuple(getattr(f, name) for name in cls.__match_args__)
-        key = (cls, *args)
-        f = (ref := _TABLE.get(key)) and ref()
-        if f is None:
-            f = object.__new__(cls)
-            cls._fill(f, *args)
-            ref = _TABLE[key] = _Ref(f, _forget)
-            ref.key = key
-        return f
-
-
-def node(cls):
-    """Make a Node subclass a frozen, slotted dataclass compared by identity;
-    its generated `__init__` becomes `_fill`, which `Node.__new__` calls."""
-    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
-    cls._fill = cls.__init__
-    del cls.__init__
-    return cls
-
 
 @node
 class Prop(Node):

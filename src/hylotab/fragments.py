@@ -12,8 +12,6 @@ and `classify` is a view on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .formulas import A, At, Box, Diamond, Down, Formula, Neg, Nom, Prop, Var, children, nnf
 
 # A position is a tuple of child indices from the root.
@@ -28,27 +26,29 @@ class FragmentError(ValueError):
         self.witnesses = list(witnesses or ())
 
 
-@dataclass(slots=True)
 class Scan:
     """Witnesses of one formula, each tuple in preorder of its nodes.  It
     is kept on the node and shared by every caller, so it is immutable."""
 
-    # The undecidability trigger: binders that lie under a universal and
-    # scope over one.
-    box_down_box: tuple = ()
-    # Binders that scope over a universal (`tau` skolemizes these).
-    down_box: tuple = ()
-    # Violations of the restrictions under which graded modalities stay
-    # decidable:
-    #   1a. no graded box occurs in the scope of a universal operator,
-    #   1b. no graded box body contains a binder scoping over a universal,
-    #   2.  every graded diamond either occurs under no universal operator
-    #       or has a body free of universal operators.
-    graded: tuple = ()
-    grades: bool = False               # a graded operator occurs
-    free: frozenset = frozenset()      # free variables, @x prefixes included
-    rels: frozenset = frozenset()      # relation symbols of the modalities
-    nnf: bool = True                   # nnf(f) is f: each ! is on a p, 'a or x
+    __slots__ = ("box_down_box", "down_box", "graded", "grades", "free", "rels", "nnf")
+
+    def __init__(self):
+        # The undecidability trigger: binders that lie under a universal and
+        # scope over one.
+        self.box_down_box = ()
+        # Binders that scope over a universal (`tau` skolemizes these).
+        self.down_box = ()
+        # Violations of the restrictions under which graded modalities stay
+        # decidable:
+        #   1a. no graded box occurs in the scope of a universal operator,
+        #   1b. no graded box body contains a binder scoping over a universal,
+        #   2.  every graded diamond either occurs under no universal operator
+        #       or has a body free of universal operators.
+        self.graded = ()
+        self.grades = False          # a graded operator occurs
+        self.free = frozenset()      # free variables, @x prefixes included
+        self.rels = frozenset()      # relation symbols of the modalities
+        self.nnf = True              # nnf(f) is f: each ! is on a p, 'a or x
 
 
 def scan(f: Formula) -> Scan:
@@ -108,13 +108,14 @@ def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> t
     return has_universal or universal, has_down_box
 
 
-@dataclass
 class FragmentVerdict:
-    has_box_down_box: bool
-    has_down_box: bool
-    graded_ok: bool
-    witnesses: list = field(default_factory=list)
-    formula: Formula | None = None  # the NNF that was scanned
+    def __init__(self, has_box_down_box: bool, has_down_box: bool, graded_ok: bool,
+                 witnesses: list, formula: Formula):
+        self.has_box_down_box = has_box_down_box
+        self.has_down_box = has_down_box
+        self.graded_ok = graded_ok
+        self.witnesses = witnesses
+        self.formula = formula  # the NNF that was scanned
 
     @property
     def preprocessable(self) -> bool:

@@ -22,7 +22,6 @@ rejected on input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .formulas import (
     A,
@@ -55,21 +54,21 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
 class Problem:
-    assertions: list
-    formula: Formula
-    declared_rels: set = field(default_factory=set)
+    """Assertions and a formula; `declared_rels` also holds every
+    relation symbol that they use."""
 
-    def __post_init__(self):
-        used = set(scan(self.formula).rels)
-        for a in self.assertions:
+    def __init__(self, assertions: list, formula: Formula, declared_rels=()):
+        self.assertions = assertions
+        self.formula = formula
+        used = set(scan(formula).rels)
+        for a in assertions:
             if isinstance(a, Trans):
                 used.add(a.sym)
             elif isinstance(a, Incl):
                 used.add(a.left.sym)
                 used.add(a.right)
-        self.declared_rels = set(self.declared_rels) | used
+        self.declared_rels = set(declared_rels) | used
 
 
 _TOKEN_RE = re.compile(

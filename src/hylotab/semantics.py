@@ -9,7 +9,6 @@ tiny vocabularies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, product
 
 from .formulas import (
@@ -27,6 +26,7 @@ from .formulas import (
     Nom,
     Or,
     Prop,
+    Record,
     Top,
     Trans,
     Var,
@@ -49,12 +49,12 @@ class BudgetError(RuntimeError):
     """The enumeration space exceeds the configured budget."""
 
 
-@dataclass
-class Interpretation:
-    states: frozenset
-    rho: dict          # rel symbol -> set of (w, w') pairs
-    nom: dict          # nominal -> state
-    val: dict          # state -> frozenset of propositions
+class Interpretation(Record):
+    def __init__(self, states: frozenset, rho: dict, nom: dict, val: dict):
+        self.states = states
+        self.rho = rho      # rel symbol -> set of (w, w') pairs
+        self.nom = nom      # nominal -> state
+        self.val = val      # state -> frozenset of propositions
 
     def pairs(self, rel) -> set:
         base = self.rho.get(rel.sym, set())

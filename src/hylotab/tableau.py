@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import disjunction
@@ -410,10 +409,11 @@ def init_branch(problem: Problem) -> Branch:
     while changed:
         changed = False
         for i1 in list(incls):
+            right, flipped = fwd(i1.right), bwd(i1.right)
             for i2 in list(incls):
-                if i2.left == fwd(i1.right):
+                if i2.left is right:
                     derived = Incl(i1.left, i2.right)
-                elif i2.left == bwd(i1.right):
+                elif i2.left is flipped:
                     derived = Incl(i1.left.inv(), i2.right)
                 else:
                     continue
@@ -526,12 +526,13 @@ def _extensions(branch: Branch):
             yield conclusions(labels[i]), i, rule, (i,), None
     branch.concl = len(live)
 
-    # containment propagation along edges
+    # containment propagation along edges; on a forward reading, r <= r
+    # (rule Rel0) would only rebuild the reading's own edge
     for p in range(branch.link, len(readings)):
         branch.link = p
         m, x, rel, y = readings[p]
         for inc, k in branch.incls.items():
-            if inc.left == rel:
+            if inc.left is rel and (inc.right != rel.sym or not rel.is_forward):
                 yield (edge_label(x, fwd(inc.right), y),), m, "Link", (m, k), None
     branch.link = len(readings)
 
@@ -566,26 +567,26 @@ def _extensions(branch: Branch):
 # ---------------------------------------------------------------------------
 # Search
 
-@dataclass
 class Limits:
-    max_nodes: int = 100_000
-    max_branches: int = 10_000
-    timeout: float = 60.0     # seconds; a negative one fires at the first step
-
-    def __post_init__(self):
-        for name in ("max_nodes", "max_branches"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be at least 1, not %r" % (name, getattr(self, name)))
-        if math.isnan(self.timeout):
+    def __init__(self, max_nodes: int = 100_000, max_branches: int = 10_000,
+                 timeout: float = 60.0):
+        for name, value in (("max_nodes", max_nodes), ("max_branches", max_branches)):
+            if value < 1:
+                raise ValueError("%s must be at least 1, not %r" % (name, value))
+        if math.isnan(timeout):
             raise ValueError("timeout must be a number, not nan")
+        self.max_nodes = max_nodes
+        self.max_branches = max_branches
+        self.timeout = timeout    # seconds; a negative one fires at the first step
 
 
-@dataclass
 class Result:
-    verdict: str                 # "sat" | "unsat" | "limit"
-    branch: Branch | None = None
-    blocking: BlockInfo | None = None
-    stats: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, branch: Branch | None, blocking: BlockInfo | None,
+                 stats: dict):
+        self.verdict = verdict    # "sat" | "unsat" | "limit"
+        self.branch = branch
+        self.blocking = blocking
+        self.stats = stats
 
     @property
     def is_sat(self) -> bool:
@@ -641,7 +642,7 @@ def solve(problem: Problem, limits: Limits | None = None) -> Result:
                 else None
             )
             if limit is not None:
-                return Result("limit", branch, stats=_stats(branches, steps, pruned, start, limit))
+                return Result("limit", branch, None, _stats(branches, steps, pruned, start, limit))
             status, other = step(branch)
             steps += 1
             if status == "applied":

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from hylotab import formulas
 from hylotab.formulas import (
+    BACKWARD,
+    FORWARD,
     A,
     And,
     At,
@@ -16,10 +18,12 @@ from hylotab.formulas import (
     Diamond,
     Down,
     E,
+    Incl,
     Neg,
     Nom,
     Or,
     Prop,
+    Relation,
     Top,
     Trans,
     Var,
@@ -345,6 +349,39 @@ def test_equal_builds_are_one_object():
     assert Sat("a", p) is Sat(nom="a", body=p) is not Sat("b", p)
 
 
+def test_fields_by_keyword_and_default_build_the_same_node():
+    r, p = fwd("r"), Prop("p")
+    assert Diamond(rel=r, sub=p) is Diamond(r, p, None) is Diamond(sub=p, rel=r, grade=None)
+    assert Diamond(r, sub=p, grade=2) is Diamond(r, p, 2)
+    assert fwd("r") is Relation("r") is Relation(sym="r", direction=FORWARD)
+    assert repr(Diamond(r, p)) == (
+        "Diamond(rel=Relation(sym='r', direction='forward'), sub=Prop(name='p'), grade=None)")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Diamond(fwd("r"), Prop("p"), wrong=1),            # unknown
+        lambda: Diamond(fwd("r")),                                # missing
+        lambda: Diamond(sub=Prop("p")),                           # missing
+        lambda: Diamond(fwd("r"), Prop("p"), rel=fwd("s")),       # duplicate
+        lambda: Diamond(fwd("r"), Prop("p"), None, None),         # surplus
+        lambda: Top(Prop("p")),                                   # surplus
+        lambda: Incl(fwd("r")),                                   # missing
+    ],
+)
+def test_bad_fields_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_relations_and_assertions_are_interned():
+    assert fwd("r") is fwd("r") is bwd("r").inv() and fwd("r") is not fwd("s")
+    assert bwd("r") is Relation("r", BACKWARD) is not fwd("r")
+    assert Incl(bwd("r"), "s") is Incl(left=bwd("r"), right="s")
+    assert Trans("r") is Trans(sym="r") is not Trans("s")
+
+
 @given(st.integers(0, 40), st.integers(0, 40))  # few seeds, so some pairs are equal
 @settings(max_examples=200, deadline=None)
 def test_identity_is_structural_equality(seed1, seed2):
@@ -370,4 +407,6 @@ def test_nodes_stay_frozen():
         f.left = Prop("q")
     with pytest.raises(FrozenInstanceError):
         Sat("a", f).nom = "b"
+    with pytest.raises(FrozenInstanceError):
+        del fwd("r").sym
     assert nominals(f) == frozenset({"a"})

@@ -1,6 +1,9 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and the CLI's
+import builds its classes without code generation."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,10 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "from __future__ import annotations\nfrom os import path, sep\nimport sys\nprint(sep)\n"
     assert unused_imports(source) == [(2, "path"), (3, "sys")]
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    code = "import sys, hylotab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-B", "-c", code], env={"PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

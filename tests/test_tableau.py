@@ -123,6 +123,9 @@ def test_deterministic_traces():
         ("trans r; formula: <r> <r> p & [r] !p;", "unsat"),
         ("formula: <r> <r> p & [r] !p;", "sat"),
         ("r- <= r; formula: @'a <r> 'b & @'b [r] !'a;", "unsat"),
+        # Link skips r <= r on forward readings only: here r- <= r must fire on
+        # the backward reading of 'a <r> 'b to give 'b <r> 'a
+        ("r- <= r; formula: @'a <r> 'b & @'b [r] !p & @'a p;", "unsat"),
         ("formula: [A] false;", "unsat"),
         ("formula: <E> down x . [A] x & <E> p & <E> !p;", "unsat"),
     ],
