@@ -16,9 +16,12 @@ a change to any other nominal leaves every decision made so far as it is.
 
 A renaming can only exist between labels whose bodies have the same
 nominal-erased skeleton (`formulas.shape`).  The pass therefore keeps
-the candidate blockers grouped by skeleton and tries `maps_to` only
-within a node's own group, instead of against every earlier node; the
-groups keep node order, so the least blocker found is the same.
+the candidate blockers grouped by the skeleton hash each body knows from
+construction, and tries only the members of a node's own group whose
+skeleton is exactly the node's, instead of every earlier node; the
+groups keep node order, so the least blocker found is the same, and a
+hash collision changes nothing.  Skeletons are built only for the pairs
+compared.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class BlockInfo(Record):
         self.direct = direct        # node id -> directly blocked?
         self.phantom = phantom      # node id -> phantom (indirectly blocked)?
         self.blocker = blocker      # node id -> blocking node id, or None
-        self.groups = groups        # skeleton -> unblocked blockable nodes, in node order
+        self.groups = groups        # skeleton hash -> unblocked blockable nodes, in node order
         self.consulted = consulted  # the nominals of both labels of every pair given to maps_to
 
     def copy(self) -> "BlockInfo":
@@ -92,8 +95,11 @@ class BlockInfo(Record):
             phantom_i = a is not None and (direct[a] or phantom[a])
             hit = None
             if blockable[i] and not phantom_i:
-                group = self.groups.setdefault(shape(labels[i].body)[0], [])
+                group = self.groups.setdefault(labels[i].body.facts[4], [])
+                skeleton = shape(labels[i].body)[0] if group else None
                 for m in group:
+                    if shape(labels[m].body)[0] is not skeleton:
+                        continue  # a hash collision
                     self.consulted.update((labels[m].nom, labels[i].nom), nominals(labels[m].body),
                                           nominals(labels[i].body))
                     if maps_to(labels[m], labels[i], top_noms, profiles):

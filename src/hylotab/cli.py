@@ -12,13 +12,6 @@ import argparse
 import json
 import sys
 
-from .corpus import (
-    default_tiles,
-    frame_property,
-    random_fragment_problem,
-    tiling_at,
-    tiling_conv,
-)
 from .formulas import Incl, Top, Trans, nnf
 from .fragments import FragmentError, classify
 from .parser import ParseError, Problem, parse, print_problem
@@ -140,6 +133,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # only `gen` uses the generators, so other commands do not import them (or `random`)
+    from .corpus import default_tiles, frame_property, random_fragment_problem, tiling_at, tiling_conv
+
     if args.kind == "tiling":
         problem = tiling_at(default_tiles())
     elif args.kind == "tiling-conv":

@@ -4,8 +4,13 @@ inspection helpers for multi-modal hybrid logic.
 Formulas, relations and assertions are immutable, interned terms: equal
 terms are one object, so `==` and `hash` are identity and never walk a
 tree (label comparison is pervasive in the tableau engine and in
-blocking).  Each formula node keeps its nominals, its nominal-erased
-shape and its `fragments.scan` once computed.
+blocking).  A formula node also knows its syntactic facts from the
+moment it is built, each derived in O(1) from its children's
+(`Formula.facts`): its nominals, its free variables, the relation
+symbols of its modalities, bits for NNF, grades and the fragment
+witnesses, and a nominal-blind skeleton hash.  So no question about a
+term walks it, at any depth.  Its nominal-erased shape and its
+`fragments.scan` are kept on it once computed.
 """
 
 from __future__ import annotations
@@ -34,12 +39,15 @@ def _forget(ref: _Ref) -> None:
 
 class Node:
     """Base of the immutable term classes.  Building a node returns the
-    live node with the same class and fields; derived facts (`nominals`,
-    `shape`, `fragments.scan`, `tableau.conclusions`) are kept on it."""
+    live node with the same class and fields.  A new formula node also
+    derives its facts from its children's (`Formula.facts`: nominals, free
+    variables, relation symbols, NNF/grade/witness bits, skeleton hash),
+    and `tableau.conclusions` is kept on a label."""
 
-    __slots__ = ("__weakref__", "_noms", "_shape", "_scan", "_concl")
+    __slots__ = ("__weakref__", "_concl")
     __match_args__: tuple = ()  # the field names, in order
     _defaults: dict = {}        # field name -> default value
+    _derive = None              # formulas: the facts of a node from its fields
 
     @classmethod
     def live(cls, *fields):
@@ -56,6 +64,8 @@ class Node:
             f = object.__new__(cls)
             for name, value in zip(names, args):
                 object.__setattr__(f, name, value)
+            if cls._derive is not None:
+                object.__setattr__(f, "facts", cls._derive(*args))
             ref = _TABLE[key] = _Ref(f, _forget)
             ref.key = key
         return f
@@ -166,89 +176,163 @@ class Incl(Node):
 # ---------------------------------------------------------------------------
 # Formulas
 
+# The bits of `Formula.facts`.  A universal operator is [R], [R]^n or [A]; a
+# down-box is a binder that scopes over one.  Under a universal operator, the
+# patterns of UNDER_UNIVERSAL are the witnesses three bits up.  Any witness
+# kind that `fragments.Scan` lists implies a bit of WITNESSES.
+UNIVERSAL, GRADED, NOT_NNF, GRADED_1B = 1, 2, 4, 8
+DOWN_BOX, GRADED_BOX, GRADED_DIAMOND_OVER_UNIVERSAL = 16, 32, 64
+BOX_DOWN_BOX, GRADED_1A, GRADED_2 = 128, 256, 512
+UNDER_UNIVERSAL = DOWN_BOX | GRADED_BOX | GRADED_DIAMOND_OVER_UNIVERSAL
+WITNESSES = DOWN_BOX | GRADED_1A | GRADED_2
+
+_NONE = frozenset()
+_NOM_HASH = hash("'")  # every nominal's: the skeleton hash erases names
+
+
+class Formula(Node):
+    """Base of the formula classes.  `facts` is derived when a node is
+    built, from its fields and its children's facts: (nominals, free
+    variables with @x prefixes included, relation symbols of the
+    modalities, bits, skeleton hash).  Formulas with equal nominal-erased
+    skeletons (`shape`) have equal skeleton hashes."""
+
+    __slots__ = ("facts", "_shape", "_scan")
+
+
+def _join(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, reusing a or b when it holds the other."""
+    return a if b <= a else b if a <= b else a | b
+
+
+def _pair(tag: str, a: tuple, b: tuple) -> tuple:
+    """The facts of a binary node over children with facts a and b."""
+    return _join(a[0], b[0]), _join(a[1], b[1]), _join(a[2], b[2]), a[3] | b[3], hash((tag, a[4], b[4]))
+
+
+def _unary(tag: str, sub: Formula, bits: int = 0) -> tuple:
+    """The facts of a node over `sub` that adds `bits` to its bits."""
+    noms, free, rels, below, h = sub.facts
+    return noms, free, rels, below | bits, hash((tag, h))
+
+
+def _modal(tag: str, rel: Relation, sub: Formula, grade, bits: int) -> tuple:
+    """The facts of a modality over `sub` with the bits `bits`."""
+    noms, free, rels, _, h = sub.facts
+    return noms, free, rels if rel.sym in rels else rels | {rel.sym}, bits, hash((tag, rel, grade, h))
+
+
 @node
-class Prop(Node):
+class Prop(Formula):
     name: str
+    _derive = staticmethod(lambda name: (_NONE, _NONE, _NONE, 0, hash(("p", name))))
 
 
 @node
-class Nom(Node):
+class Nom(Formula):
     name: str
+    _derive = staticmethod(lambda name: (frozenset((name,)), _NONE, _NONE, 0, _NOM_HASH))
 
 
 @node
-class Var(Node):
+class Var(Formula):
     name: str
+    _derive = staticmethod(lambda name: (_NONE, frozenset((name,)), _NONE, 0, hash(("x", name))))
 
 
 @node
-class Top(Node):
-    pass
+class Top(Formula):
+    _derive = staticmethod(lambda: (_NONE, _NONE, _NONE, 0, hash("true")))
 
 
 @node
-class Bot(Node):
-    pass
+class Bot(Formula):
+    _derive = staticmethod(lambda: (_NONE, _NONE, _NONE, 0, hash("false")))
 
 
 @node
-class Neg(Node):
-    sub: "Formula"
+class Neg(Formula):
+    sub: Formula
+    _derive = staticmethod(
+        lambda sub: _unary("!", sub, 0 if isinstance(sub, (Prop, Nom, Var)) else NOT_NNF))
 
 
 @node
-class And(Node):
-    left: "Formula"
-    right: "Formula"
+class And(Formula):
+    left: Formula
+    right: Formula
+    _derive = staticmethod(lambda left, right: _pair("&", left.facts, right.facts))
 
 
 @node
-class Or(Node):
-    left: "Formula"
-    right: "Formula"
+class Or(Formula):
+    left: Formula
+    right: Formula
+    _derive = staticmethod(lambda left, right: _pair("|", left.facts, right.facts))
 
 
 @node
-class Diamond(Node):
+class Diamond(Formula):
     rel: Relation
-    sub: "Formula"
+    sub: Formula
     grade: int | None = None
 
+    @staticmethod
+    def _derive(rel, sub, grade):
+        bits = sub.facts[3]
+        if grade is not None:
+            bits |= GRADED | (GRADED_DIAMOND_OVER_UNIVERSAL if bits & UNIVERSAL else 0)
+        return _modal("<>", rel, sub, grade, bits)
+
 
 @node
-class Box(Node):
+class Box(Formula):
     rel: Relation
-    sub: "Formula"
+    sub: Formula
     grade: int | None = None
 
-
-@node
-class E(Node):
-    sub: "Formula"
-
-
-@node
-class A(Node):
-    sub: "Formula"
+    @staticmethod
+    def _derive(rel, sub, grade):
+        body = sub.facts[3]
+        bits = body | UNIVERSAL | (body & UNDER_UNIVERSAL) << 3
+        if grade is not None:
+            bits |= GRADED | GRADED_BOX | (GRADED_1B if body & DOWN_BOX else 0)
+        return _modal("[]", rel, sub, grade, bits)
 
 
 @node
-class At(Node):
+class E(Formula):
+    sub: Formula
+    _derive = staticmethod(lambda sub: _unary("E", sub))
+
+
+@node
+class A(Formula):
+    sub: Formula
+    _derive = staticmethod(lambda sub: _unary("A", sub, UNIVERSAL | (sub.facts[3] & UNDER_UNIVERSAL) << 3))
+
+
+@node
+class At(Formula):
     """Satisfaction statement u:F, with u a nominal or a variable."""
 
-    at: "Formula"  # Nom or Var
-    sub: "Formula"
+    at: Formula  # Nom or Var
+    sub: Formula
+    _derive = staticmethod(lambda at, sub: _pair("@", at.facts, sub.facts))
 
 
 @node
-class Down(Node):
+class Down(Formula):
     var: str
-    sub: "Formula"
+    sub: Formula
 
+    @staticmethod
+    def _derive(var, sub):
+        noms, free, rels, bits, h = sub.facts
+        if bits & UNIVERSAL:
+            bits |= DOWN_BOX
+        return noms, free - {var} if var in free else free, rels, bits, hash(("down", var, h))
 
-Formula = (
-    Prop | Nom | Var | Top | Bot | Neg | And | Or | Diamond | Box | E | A | At | Down
-)
 
 ATOMS = (Prop, Nom, Var, Top, Bot)
 
@@ -266,16 +350,14 @@ def nnf(f: Formula) -> Formula:
 
     Graded modalities are handled by duality with the same grade.  The
     binder and @ are self-dual, so a negation simply moves inside them.
-    Preserves truth on every interpretation.  An NNF input is returned
-    itself, so `nnf(nnf(f)) is nnf(f)`.
+    Preserves truth on every interpretation.  An NNF input, or subtree, is
+    returned itself without a walk, so `nnf(nnf(f)) is nnf(f)`.
     """
-    if isinstance(f, ATOMS):
+    if not f.facts[3] & NOT_NNF:
         return f
     if not isinstance(f, Neg):
         return _rebuild(f, [nnf(g) for g in children(f)])
     g = f.sub
-    if isinstance(g, (Prop, Nom, Var)):
-        return f
     if isinstance(g, Neg):
         return nnf(g.sub)
     return _rebuild(g, [nnf(Neg(h)) for h in children(g)], _DUAL[type(g)])
@@ -299,9 +381,12 @@ def subst_var(f: Formula, x: str, a: str) -> Formula:
 
 def subst_vars(f: Formula, env: dict, memo: dict) -> Formula:
     """Replace every free occurrence of each variable in `env` with the nominal it maps
-    to; `memo` maps the subterms rewritten under `env`, so each is walked once."""
-    if isinstance(f, ATOMS) or not env:
-        return Nom(env[f.name]) if isinstance(f, Var) and f.name in env else f
+    to; a subtree with none of them free is returned itself.  `memo` maps the subterms
+    rewritten under `env`, so each is walked once."""
+    if f.facts[1].isdisjoint(env):
+        return f
+    if isinstance(f, Var):
+        return Nom(env[f.name])
     out = memo.get(f)
     if out is None:
         if isinstance(f, Down) and f.var in env:
@@ -316,11 +401,9 @@ def subst_vars(f: Formula, env: dict, memo: dict) -> Formula:
 
 def subst_nom(f: Formula, a: str, b: str, memo: dict | None = None) -> Formula:
     """Replace every occurrence of nominal a with b; subtrees without a
-    are kept, not rebuilt, and rebuilt nodes get their nominals set.
-    `memo` maps the subterms already renamed for this one (a, b), so calls
-    that share it walk each distinct subterm once."""
-    noms = nominals(f)
-    if a not in noms:
+    are kept, not rebuilt.  `memo` maps the subterms already renamed for
+    this one (a, b), so calls that share it walk each distinct subterm once."""
+    if a not in f.facts[0]:
         return f
     memo = {} if memo is None else memo
     out = memo.get(f)
@@ -331,7 +414,6 @@ def subst_nom(f: Formula, a: str, b: str, memo: dict | None = None) -> Formula:
             out = At(subst_nom(f.at, a, b, memo), subst_nom(f.sub, a, b, memo))
         else:
             out = _rebuild(f, [subst_nom(g, a, b, memo) for g in children(f)])
-        object.__setattr__(out, "_noms", noms - {a} | {b})
         memo[f] = out
     return out
 
@@ -355,12 +437,7 @@ def _rebuild(f: Formula, subs: list, op: type | None = None) -> Formula:
 # Inspection helpers
 
 def nominals(f: Formula) -> frozenset:
-    try:
-        return f._noms
-    except AttributeError:
-        parts = [frozenset((f.name,))] if isinstance(f, Nom) else map(nominals, _named(f))
-        object.__setattr__(f, "_noms", frozenset().union(*parts))
-        return f._noms
+    return f.facts[0]
 
 
 _ERASED = Nom("")
@@ -372,7 +449,7 @@ def shape(f: Formula) -> tuple:
     formulas differ at most in their nominals iff their skeletons are
     equal; their name tuples then zip into the induced nominal pairs.
     """
-    if not nominals(f):
+    if not f.facts[0]:
         return f, ()
     try:
         return f._shape
@@ -403,8 +480,8 @@ def walk(f: Formula):
         stack.extend(reversed(_named(g)))
 
 
-def rel_syms(f: Formula) -> set:
-    return {g.rel.sym for g in walk(f) if isinstance(g, (Diamond, Box))}
+def rel_syms(f: Formula) -> frozenset:
+    return f.facts[2]
 
 
 def props(f: Formula) -> set:

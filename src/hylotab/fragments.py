@@ -3,16 +3,19 @@ that govern decidability, and the restrictions on graded modalities.
 
 The detection expects NNF input; "scope" is plain AST dominance (an
 @-jump does not cut scope).  Universal operators are [R], [A] and the
-graded [R]^n.  One preorder pass (`scan`) finds every witness, and also
-whether a graded operator occurs, which variables are free, which
-relation symbols occur and whether the formula is in NNF: it is the one
-syntactic check of every pipeline stage, runs once per formula node,
-and `classify` is a view on it.
+graded [R]^n.  Every formula node knows from construction whether it
+has a witness, a graded operator, free variables or a negation outside
+NNF, and which relation symbols occur (`formulas.Formula.facts`), so
+`scan` reads those facts.  Only a formula with a witness is walked, once,
+to find each witness's position: the error report and `tau`'s critical
+binders need them.  `scan` is kept on the node, and `classify` is a
+view on it.
 """
 
 from __future__ import annotations
 
-from .formulas import A, At, Box, Diamond, Down, Formula, Neg, Nom, Prop, Var, children, nnf
+from .formulas import (A, DOWN_BOX, GRADED, NOT_NNF, UNIVERSAL, WITNESSES, Box, Diamond, Down,
+                       Formula, children, nnf)
 
 # A position is a tuple of child indices from the root.
 Path = tuple
@@ -32,7 +35,12 @@ class Scan:
 
     __slots__ = ("box_down_box", "down_box", "graded", "grades", "free", "rels", "nnf")
 
-    def __init__(self):
+    def __init__(self, f: Formula):
+        _, free, rels, bits, _ = f.facts
+        self.free = free                   # free variables, @x prefixes included
+        self.rels = rels                   # relation symbols of the modalities
+        self.grades = bool(bits & GRADED)  # a graded operator occurs
+        self.nnf = not bits & NOT_NNF      # nnf(f) is f: each ! is on a p, 'a or x
         # The undecidability trigger: binders that lie under a universal and
         # scope over one.
         self.box_down_box = ()
@@ -45,67 +53,44 @@ class Scan:
         #   2.  every graded diamond either occurs under no universal operator
         #       or has a body free of universal operators.
         self.graded = ()
-        self.grades = False          # a graded operator occurs
-        self.free = frozenset()      # free variables, @x prefixes included
-        self.rels = frozenset()      # relation symbols of the modalities
-        self.nnf = True              # nnf(f) is f: each ! is on a p, 'a or x
 
 
 def scan(f: Formula) -> Scan:
-    """Visit each node of f once and collect all witnesses (meaningful on
+    """The facts of f and the positions of its witnesses (meaningful on
     NNF input only); computed once per node and kept on it."""
     try:
         return f._scan
     except AttributeError:
-        out = Scan()
-        _scan(f, (), False, frozenset(), out)
-        # preorder is the order of paths; the sort is stable, so 1a stays before 1b
-        for name in ("box_down_box", "down_box", "graded"):
-            setattr(out, name, tuple(sorted(getattr(out, name), key=lambda w: w[1])))
+        out = Scan(f)
+        if f.facts[3] & WITNESSES:
+            _scan(f, out)
         object.__setattr__(f, "_scan", out)
         return out
 
 
-def _scan(f: Formula, path: Path, under: bool, bound: frozenset, out: Scan) -> tuple[bool, bool]:
-    """Returns whether f contains a universal operator, and whether it
-    contains a binder scoping over one.  A node's witnesses are known
-    only after its subtree, so they are appended in postorder and
-    `scan` sorts them.  `bound` holds the variables of the binders
-    above f.
-    """
-    name = f.at if isinstance(f, At) else f  # a variable may occur as an @-prefix
-    if isinstance(name, Var) and name.name not in bound and name.name not in out.free:
-        out.free = out.free | {name.name}
-    subs = children(f)
-    if not subs:
-        return False, False
-    if isinstance(f, Neg):
-        if not isinstance(f.sub, (Prop, Nom, Var)):
-            out.nnf = False
-    elif isinstance(f, (Box, Diamond)) and f.rel.sym not in out.rels:
-        out.rels = out.rels | {f.rel.sym}
-    elif isinstance(f, Down):
-        bound = bound | {f.var}
-    universal = isinstance(f, (Box, A))
-    has_universal = has_down_box = False
-    for i, g in enumerate(subs):
-        u, d = _scan(g, path + (i,), under or universal, bound, out)
-        has_universal |= u
-        has_down_box |= d
-    if isinstance(f, Down) and has_universal:
-        has_down_box = True
-        out.down_box += (("down-box", path),)
-        if under:
-            out.box_down_box += (("box-down-box", path),)
-    elif isinstance(f, (Box, Diamond)) and f.grade is not None:
-        out.grades = True
-        if universal and under:
-            out.graded += (("graded-box-under-universal (1a)", path),)
-        if universal and has_down_box:
-            out.graded += (("graded-box-body-has-down-box (1b)", path),)
-        if not universal and under and has_universal:
+def _scan(f: Formula, out: Scan) -> None:
+    """Append each witness in f to `out`, in preorder.  A node's bits say
+    whether its body holds a universal or a down-box; the walk enters only
+    subtrees that hold a binder over a universal or a graded operator, and
+    keeps its own stack, so it is safe at any depth."""
+    stack = [(f, (), False)]  # (node, its path, under a universal?)
+    while stack:
+        g, path, under = stack.pop()
+        body = g.sub.facts[3] if isinstance(g, (Down, Box, Diamond)) else 0
+        if isinstance(g, Down) and body & UNIVERSAL:
+            out.down_box += (("down-box", path),)
+            if under:
+                out.box_down_box += (("box-down-box", path),)
+        elif isinstance(g, Box) and g.grade is not None:
+            if under:
+                out.graded += (("graded-box-under-universal (1a)", path),)
+            if body & DOWN_BOX:
+                out.graded += (("graded-box-body-has-down-box (1b)", path),)
+        elif isinstance(g, Diamond) and g.grade is not None and under and body & UNIVERSAL:
             out.graded += (("graded-diamond-under-universal-with-universal-body (2)", path),)
-    return has_universal or universal, has_down_box
+        under = under or isinstance(g, (Box, A))
+        stack.extend((h, path + (i,), under) for i, h in reversed(list(enumerate(children(g))))
+                     if h.facts[3] & (DOWN_BOX | GRADED))
 
 
 class FragmentVerdict:

@@ -43,8 +43,8 @@ from .formulas import (
     Var,
     bwd,
     fwd,
+    rel_syms,
 )
-from .fragments import scan
 
 
 class ParseError(ValueError):
@@ -61,7 +61,7 @@ class Problem:
     def __init__(self, assertions: list, formula: Formula, declared_rels=()):
         self.assertions = assertions
         self.formula = formula
-        used = set(scan(formula).rels)
+        used = set(rel_syms(formula))
         for a in assertions:
             if isinstance(a, Trans):
                 used.add(a.sym)

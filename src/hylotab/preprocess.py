@@ -14,6 +14,7 @@ from .formulas import (
     Down,
     E,
     FRESH_PREFIX,
+    GRADED,
     Formula,
     Neg,
     Nom,
@@ -105,15 +106,15 @@ def expand_grades(f: Formula, fresh: FreshNames) -> Formula:
     """Replace every graded modality by its binder definition, innermost
     first so expanded bodies are already grade-free.  The definitions
     negate only variables, so an NNF input gives an NNF output.  A
-    grade-free subtree is returned itself.
+    grade-free subtree is returned itself, without a walk.
     """
+    if not f.facts[3] & GRADED:
+        return f
     subs = [expand_grades(g, fresh) for g in children(f)]
     if isinstance(f, Diamond) and f.grade is not None:
         return expand_graded_diamond(f.rel, f.grade, subs[0], fresh)
     if isinstance(f, Box) and f.grade is not None:
         return expand_graded_box(f.rel, f.grade, subs[0], fresh)
-    if not subs:
-        return f
     return _rebuild(f, subs)
 
 

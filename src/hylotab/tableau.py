@@ -21,6 +21,7 @@ from . import disjunction
 # nominals and subst_var in this module by name; call them as module globals.
 from .blocking import EMPTY_PROFILE, BlockInfo, recompute_blocking
 from .formulas import (
+    BACKWARD,
     A,
     And,
     At,
@@ -38,7 +39,6 @@ from .formulas import (
     Prop,
     Relation,
     Trans,
-    bwd,
     fwd,
     nnf,
     node,
@@ -270,8 +270,8 @@ class Branch:
         side is normalized by flipping both sides.
         """
         if right.is_forward:
-            return Incl(left, right.sym) in self.incls
-        return Incl(left.inv(), right.sym) in self.incls
+            return Incl.live(left, right.sym) in self.incls
+        return Incl.live(left.inv(), right.sym) in self.incls
 
     def substitute(self, a: str, b: str, deps: int) -> None:
         """Replace nominal a by b in the labels that hold it; the other
@@ -409,7 +409,7 @@ def init_branch(problem: Problem) -> Branch:
     while changed:
         changed = False
         for i1 in list(incls):
-            right, flipped = fwd(i1.right), bwd(i1.right)
+            right, flipped = fwd(i1.right), Relation.live(i1.right, BACKWARD)
             for i2 in list(incls):
                 if i2.left is right:
                     derived = Incl(i1.left, i2.right)

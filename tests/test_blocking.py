@@ -1,7 +1,8 @@
 from collections import defaultdict
 
 from hylotab import tableau
-from hylotab.blocking import maps_to, recompute_blocking
+from hylotab import blocking
+from hylotab.blocking import BlockInfo, maps_to, recompute_blocking
 from hylotab.corpus import random_fragment_problem
 from hylotab.formulas import ATOMS, At, Box, Diamond, Down, Neg, Nom, Prop, children, fwd
 from hylotab.parser import parse
@@ -116,6 +117,25 @@ def test_phantoms_do_not_block():
     assert info.direct == [False, True, False, False]
     assert info.phantom == [False, False, True, False]
     assert info.blocker == [None, 0, None, None]
+
+
+def test_a_skeleton_hash_collision_changes_nothing(monkeypatch):
+    """A candidate whose skeleton differs from the node's, put into the
+    node's group as a hash collision would, is neither consulted nor
+    given to maps_to."""
+    calls = []
+    monkeypatch.setattr(blocking, "maps_to", lambda *args: calls.append(args) or maps_to(*args))
+    labels = [Sat("a", Diamond(fwd("r"), Nom("c"))), Sat("b", Diamond(fwd("s"), Nom("d")))]
+    key = labels[1].body.facts[4]
+    assert labels[0].body.facts[4] != key
+    info = BlockInfo([False], [False], [None], {key: [0]}, set())
+    info.extend(labels, [None, None], [True, True], profiles(*labels), set())
+    assert calls == [] and info.consulted == set()
+    assert info.direct == [False, False] and info.groups == {key: [0, 1]}
+    # the same candidate in its own group is compared
+    info = recompute_blocking(labels[:1] + [Sat("b", Diamond(fwd("r"), Nom("d")))],
+                              [None, None], [True, True], {}, set())
+    assert len(calls) == 1 and info.consulted == {"a", "b", "c", "d"} and info.direct[1]
 
 
 def test_blocking_terminates_recursive_demand():

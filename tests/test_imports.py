@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, and the CLI's
-import builds its classes without code generation."""
+import builds its classes without code generation and leaves out the
+problem generators."""
 
 import ast
 import subprocess
@@ -38,6 +39,14 @@ def test_detects_unused_import():
 
 def test_cli_imports_neither_dataclasses_nor_inspect():
     code = "import sys, hylotab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-B", "-c", code], env={"PYTHONPATH": str(SRC.parent)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_cli_imports_neither_corpus_nor_random():
+    # only `hylotab gen` needs the generators
+    code = "import sys, hylotab.cli; print(sorted({'hylotab.corpus', 'random'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-B", "-c", code], env={"PYTHONPATH": str(SRC.parent)},
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
