@@ -33,7 +33,6 @@ from .formulas import (
     fwd,
     node,
 )
-from .fragments import scan
 from .parser import Problem
 
 
@@ -292,4 +291,4 @@ def enumerate_small_formulas():
     level3 = [u for f in level2 for u in unaries(f)]
 
     # first occurrences, in order
-    return list(dict.fromkeys(f for f in itertools.chain(level1, level2, level3) if not scan(f).free))
+    return list(dict.fromkeys(f for f in itertools.chain(level1, level2, level3) if not f.facts[1]))

@@ -9,8 +9,9 @@ moment it is built, each derived in O(1) from its children's
 (`Formula.facts`): its nominals, its free variables, the relation
 symbols of its modalities, bits for NNF, grades and the fragment
 witnesses, and a nominal-blind skeleton hash.  So no question about a
-term walks it, at any depth.  Its nominal-erased shape and its
-`fragments.scan` are kept on it once computed.
+term walks it, at any depth: the fragment checks read the bits, and only
+a report of where a witness occurs walks for it.  Its nominal-erased
+shape is kept on it once computed.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ class Incl(Node):
 # The bits of `Formula.facts`.  A universal operator is [R], [R]^n or [A]; a
 # down-box is a binder that scopes over one.  Under a universal operator, the
 # patterns of UNDER_UNIVERSAL are the witnesses three bits up.  Any witness
-# kind that `fragments.Scan` lists implies a bit of WITNESSES.
+# kind that `fragments.witnesses` lists implies a bit of WITNESSES.
 UNIVERSAL, GRADED, NOT_NNF, GRADED_1B = 1, 2, 4, 8
 DOWN_BOX, GRADED_BOX, GRADED_DIAMOND_OVER_UNIVERSAL = 16, 32, 64
 BOX_DOWN_BOX, GRADED_1A, GRADED_2 = 128, 256, 512
@@ -194,10 +195,10 @@ class Formula(Node):
     """Base of the formula classes.  `facts` is derived when a node is
     built, from its fields and its children's facts: (nominals, free
     variables with @x prefixes included, relation symbols of the
-    modalities, bits, skeleton hash).  Formulas with equal nominal-erased
-    skeletons (`shape`) have equal skeleton hashes."""
+    modalities, bits, skeleton hash); the fragment checks read the bits.
+    Formulas with equal nominal-erased skeletons (`shape`) have equal skeleton hashes."""
 
-    __slots__ = ("facts", "_shape", "_scan")
+    __slots__ = ("facts", "_shape")
 
 
 def _join(a: frozenset, b: frozenset) -> frozenset:

@@ -1,12 +1,16 @@
 """Preprocessing pipeline: eliminate graded modalities through their
 binder definitions, then skolemize binders that scope over universal
 operators.  Output problems are ungraded, in NNF, and contain no binder
-with a universal operator in its scope.
+with a universal operator in its scope.  Each step reads the formula's
+facts, so it returns a subtree it would not change as it is, without a
+walk.
 """
 
 from __future__ import annotations
 
 from .formulas import (
+    BOX_DOWN_BOX,
+    DOWN_BOX,
     And,
     At,
     Box,
@@ -15,6 +19,7 @@ from .formulas import (
     E,
     FRESH_PREFIX,
     GRADED,
+    UNIVERSAL,
     Formula,
     Neg,
     Nom,
@@ -25,7 +30,7 @@ from .formulas import (
     subst_vars,
     _rebuild,
 )
-from .fragments import FragmentError, classify, scan
+from .fragments import FragmentError, classify, witnesses
 from .parser import Problem
 
 
@@ -44,7 +49,7 @@ class FreshNames:
         return "%sv%d" % (FRESH_PREFIX, self.counter)
 
 
-# Checked before the names are built; far above any grade the recursion limit allows.
+# Checked before the names are built, so an absurd grade allocates nothing.
 MAX_GRADE = 10_000
 
 
@@ -63,17 +68,14 @@ def expand_graded_diamond(rel: Relation, n: int, f: Formula, fresh: FreshNames) 
     x = fresh.variable()
     ys = [fresh.variable() for _ in range(n)]
 
-    def chain(i: int) -> Formula:
-        # conjunction f & !y1 & ... & !y_i, then the next binder if any
-        body: Formula = f
-        for y in ys[:i]:
-            body = And(body, Neg(Var(y)))
-        if i < n:
-            inner = Down(ys[i], At(Var(x), Diamond(rel, chain(i + 1), None)))
-            body = And(body, inner)
-        return body
-
-    return Down(x, Diamond(rel, chain(0), None))
+    # conjs[i] is f & !y1 & ... & !y_i; the chain is built inside out
+    conjs = [f]
+    for y in ys:
+        conjs.append(And(conjs[-1], Neg(Var(y))))
+    body = conjs[n]
+    for i in reversed(range(n)):
+        body = And(conjs[i], Down(ys[i], At(Var(x), Diamond(rel, body, None))))
+    return Down(x, Diamond(rel, body, None))
 
 
 def expand_graded_box(rel: Relation, n: int, f: Formula, fresh: FreshNames) -> Formula:
@@ -120,41 +122,37 @@ def expand_grades(f: Formula, fresh: FreshNames) -> Formula:
 
 def tau(f: Formula, fresh: FreshNames) -> Formula:
     """Skolemizing translation: a binder whose body contains a universal
-    operator is replaced by a fresh nominal naming the bound state.
-    Homomorphic on conjunction, disjunction, @, diamonds and E; the
-    identity elsewhere, and a subtree without a replaced binder is
-    returned itself.  Input must be ungraded NNF without the pattern of a
-    binder nested between two universal operators.
+    operator (its body's UNIVERSAL bit) is replaced by a fresh nominal
+    naming the bound state, one per occurrence.  Homomorphic on
+    conjunction, disjunction, @, diamonds and E; the identity elsewhere,
+    and a subtree without such a binder is returned itself.  Input must be
+    ungraded NNF without the pattern of a binder nested between two
+    universal operators.
     """
-    found = scan(f)
-    if found.grades:
+    bits = f.facts[3]
+    if bits & GRADED:
         raise FragmentError("graded operator in input to the translation")
-    if found.box_down_box:
-        raise FragmentError(
-            "input contains a universal-binder-universal nesting", found.box_down_box
-        )
-    if not found.down_box:
-        return f
-    critical = {path for _, path in found.down_box}
-    return _tau(f, (), critical, fresh, {})
+    if bits & BOX_DOWN_BOX:
+        raise FragmentError("input contains a universal-binder-universal nesting",
+                            [w for w in witnesses(f) if w[0] == "box-down-box"])
+    return _tau(f, fresh, {})
 
 
-def _tau(f: Formula, path: tuple, critical: set, fresh: FreshNames, env: dict) -> Formula:
-    """`path` is f's position in the input of `tau`; `env` maps the variables of the binders
-    skolemized above f to their nominals, substituted in one pass where the translation stops."""
-    if isinstance(f, Down) and path in critical:
+def _tau(f: Formula, fresh: FreshNames, env: dict) -> Formula:
+    """`env` maps the variables of the binders skolemized above f to their nominals,
+    substituted in one pass where the translation stops."""
+    if isinstance(f, Down) and f.sub.facts[3] & UNIVERSAL:
         b = fresh.nominal()
-        return And(Nom(b), _tau(f.sub, path + (0,), critical, fresh, {**env, f.var: b}))
-    if isinstance(f, (At, And, Or, Diamond, E)):
-        subs = [_tau(g, path + (i,), critical, fresh, env) for i, g in enumerate(children(f))]
+        return And(Nom(b), _tau(f.sub, fresh, {**env, f.var: b}))
+    if f.facts[3] & DOWN_BOX and isinstance(f, (At, And, Or, Diamond, E)):
+        subs = [_tau(g, fresh, env) for g in children(f)]
         return At(subst_vars(f.at, env, {}), subs[0]) if isinstance(f, At) else _rebuild(f, subs)
     return subst_vars(f, env, {})
 
 
 def preprocess(problem: Problem) -> Problem:
     """nnf (classify's) -> graded expansion -> tau.  Expanding an NNF
-    formula gives NNF, so no second normalization is needed.  A step
-    runs only when the formula's scan says it changes something.  Raises
+    formula gives NNF, so no second normalization is needed.  Raises
     FragmentError when the problem lies outside the accepted fragment;
     assertions pass through unchanged.
     """
@@ -165,6 +163,5 @@ def preprocess(problem: Problem) -> Problem:
             [w for w in verdict.witnesses if w[0] != "down-box"],
         )
     fresh = FreshNames()
-    f = verdict.formula
-    f = tau(expand_grades(f, fresh) if scan(f).grades else f, fresh)
+    f = tau(expand_grades(verdict.formula, fresh), fresh)
     return Problem(list(problem.assertions), f, set(problem.declared_rels))

@@ -22,6 +22,8 @@ from . import disjunction
 from .blocking import EMPTY_PROFILE, BlockInfo, recompute_blocking
 from .formulas import (
     BACKWARD,
+    DOWN_BOX,
+    GRADED,
     A,
     And,
     At,
@@ -46,7 +48,7 @@ from .formulas import (
     subst_nom,
     subst_var,
 )
-from .fragments import FragmentError, scan
+from .fragments import FragmentError, witnesses
 from .parser import Problem, print_formula
 
 TOP_NOMINAL = "_0"
@@ -377,16 +379,15 @@ class Branch:
 # Initialization
 
 def init_branch(problem: Problem) -> Branch:
-    f = problem.formula if scan(problem.formula).nnf else nnf(problem.formula)
-    found = scan(f)
-    if found.grades:
+    f = nnf(problem.formula)
+    _, free, _, bits, _ = f.facts
+    if bits & GRADED:
         raise ValueError("graded operators must be eliminated before solving")
-    if found.free:
+    if free:
         raise ValueError("input formula must be ground")
-    if found.down_box:
-        raise FragmentError(
-            "binder scoping over a universal operator; preprocess first", found.down_box
-        )
+    if bits & DOWN_BOX:
+        raise FragmentError("binder scoping over a universal operator; preprocess first",
+                            [w for w in witnesses(f) if w[0] == "down-box"])
     b = Branch()
     b.input_formula = f
     b.add(Sat(TOP_NOMINAL, f), None, "init", ())

@@ -11,6 +11,8 @@ from hylotab.corpus import (
     tiling_conv,
 )
 from hylotab.formulas import (
+    DOWN_BOX,
+    GRADED,
     A,
     Diamond,
     Down,
@@ -22,7 +24,6 @@ from hylotab.formulas import (
     fwd,
     nnf,
 )
-from hylotab.fragments import scan
 from hylotab.parser import parse, print_problem
 from hylotab.semantics import Interpretation, evaluate
 
@@ -57,13 +58,13 @@ def test_tilings_round_trip():
     for problem in (tiling_at(default_tiles()), tiling_conv(default_tiles())):
         text = print_problem(problem)
         assert parse(text).formula == problem.formula
-        assert scan(problem.formula).grades
+        assert problem.formula.facts[3] & GRADED
 
 
 def test_functionality_formula_shape():
     f = functionality_formula()
-    assert not scan(f).grades
-    assert not scan(f).free  # the binder captures every variable occurrence
+    assert not f.facts[3] & GRADED
+    assert not f.facts[1]  # the binder captures every variable occurrence
 
 
 def test_random_problems_deterministic_and_in_fragment():
@@ -71,8 +72,8 @@ def test_random_problems_deterministic_and_in_fragment():
         p1 = random_fragment_problem(seed)
         p2 = random_fragment_problem(seed)
         assert p1.formula == p2.formula and p1.assertions == p2.assertions
-        assert not scan(p1.formula).free
-        assert not scan(nnf(p1.formula)).down_box
+        assert not p1.formula.facts[1]
+        assert not nnf(p1.formula).facts[3] & DOWN_BOX
 
 
 def test_random_problem_depth_is_bounded():
@@ -91,4 +92,4 @@ def test_enumeration_size_and_shape():
     fs = enumerate_small_formulas()
     assert 800 <= len(fs) <= 2200
     assert len(set(fs)) == len(fs)
-    assert not any(scan(f).free for f in fs)
+    assert not any(f.facts[1] for f in fs)

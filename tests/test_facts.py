@@ -1,7 +1,7 @@
 """The facts a formula node derives when it is built (`Formula.facts`),
-against reference recursive definitions; `scan`'s answer from the facts
-against the positional walk; and the deep terms that the facts keep
-clear of recursion."""
+against reference recursive definitions; the fragment verdict read from
+the facts, and the witness positions, against the reference positional
+walk; and the deep terms that the facts keep clear of recursion."""
 
 import random
 
@@ -38,14 +38,15 @@ from hylotab.formulas import (
     bwd,
     children,
     fwd,
+    nnf,
     nominals,
     rel_syms,
     shape,
     subst_var,
 )
-from hylotab.fragments import scan
+from hylotab.fragments import FragmentVerdict, witnesses
 from hylotab.parser import parse
-from hylotab.preprocess import preprocess
+from hylotab.preprocess import FreshNames, expand_grades, preprocess, tau
 
 from test_engine_golden import COUNTING_SHAPES
 
@@ -136,24 +137,19 @@ def ref_witnesses(f, path=(), under=False, out=None):
     return has_u or universal, has_d, out
 
 
-def ref_scan(f):
-    """Every field of `scan(f)`, from the reference definitions."""
+def ref_verdict(f):
+    """The flags of `FragmentVerdict(f)` and `witnesses(f)`, from the
+    reference definitions."""
     _, _, out = ref_witnesses(f)
-    ordered = lambda kinds: tuple(sorted(((k, p) for k in kinds for p in out[k]), key=lambda w: w[1]))
-    return {
-        "box_down_box": ordered(["box-down-box"]),
-        "down_box": ordered(["down-box"]),
-        "graded": ordered([k for k in KIND_BITS if k.startswith("graded")]),
-        "grades": ref_grades(f),
-        "free": ref_free(f),
-        "rels": ref_rels(f),
-        "nnf": ref_nnf(f),
-    }
+    ordered = lambda kinds: sorted(((k, p) for k in kinds for p in out[k]), key=lambda w: w[1])
+    graded = ordered([k for k in KIND_BITS if k.startswith("graded")])
+    return (bool(out["box-down-box"]), bool(out["down-box"]), not graded,
+            ordered(["box-down-box"]) + ordered(["down-box"]) + graded)
 
 
-def scan_fields(f):
-    found = scan(f)
-    return {name: getattr(found, name) for name in type(found).__slots__}
+def verdict_fields(f):
+    v = FragmentVerdict(f)
+    return v.has_box_down_box, v.has_down_box, v.graded_ok, witnesses(f)
 
 
 def test_facts_agree_with_recursive_definitions():
@@ -167,12 +163,15 @@ def test_facts_agree_with_recursive_definitions():
         assert rels == ref_rels(f) and rel_syms(f) is rels
         assert (not bits & NOT_NNF) == ref_nnf(f)
         assert bool(bits & GRADED) == ref_grades(f)
+        # classify and init_branch read free variables and grades after nnf
+        g = nnf(f)
+        assert g.facts[1] == free and bool(g.facts[3] & GRADED) == ref_grades(f)
         has_u, has_d, out = ref_witnesses(f)
         assert bool(bits & UNIVERSAL) == has_u and bool(bits & DOWN_BOX) == has_d
         assert {k for k, bit in KIND_BITS.items() if bits & bit} == {k for k in out if out[k]}
         assert bool(bits & WITNESSES) == any(out.values())
         assert skeleton_hash == shape(f)[0].facts[4]
-        assert scan_fields(f) == ref_scan(f)
+        assert verdict_fields(f) == ref_verdict(f)
         witnessed += any(out.values())
     assert 1000 < witnessed < 9000
 
@@ -196,7 +195,10 @@ def corpora():
 def test_scan_from_facts_matches_the_walk_on_the_corpora():
     plain = 0
     for f in corpora():
-        assert scan_fields(f) == ref_scan(f)
+        _, free, rels, bits, _ = f.facts
+        assert (free, rels, not bits & NOT_NNF, bool(bits & GRADED)) == (
+            ref_free(f), ref_rels(f), ref_nnf(f), ref_grades(f))
+        assert verdict_fields(f) == ref_verdict(f)
         plain += not f.facts[3] & WITNESSES
     assert plain > 1000
 
@@ -207,11 +209,16 @@ def test_deep_chain_needs_no_recursion():
     f = And(Nom("a"), Var("y"))
     for i in range(20_000):
         f = (Box if i % 2 else Diamond)(fwd("r"), f)
-    assert nominals(f) == {"a"}
-    found = scan(f)
-    assert found.free == {"y"} and found.rels == {"r"} and not found.down_box
+    assert nominals(f) == {"a"} and f.facts[1] == {"y"} and rel_syms(f) == {"r"}
+    assert not f.facts[3] & DOWN_BOX and witnesses(f) == []
     assert subst_var(f, "x", "b") is f
+    # the preprocessing steps return a chain with nothing to rewrite as it is
+    d = Var("y")
+    for _ in range(20_000):
+        d = Diamond(fwd("r"), d)
+    fresh = FreshNames()
+    assert expand_grades(d, fresh) is d and tau(d, fresh) is d
     # a binder over the chain is a witness at the root, found without entering the chain
     g = Down("y", f)
-    assert scan(g).down_box == (("down-box", ()),) and not scan(g).free
+    assert witnesses(g) == [("down-box", ())] and not g.facts[1]
     assert subst_var(g, "y", "b") is g

@@ -40,7 +40,6 @@ from hylotab.formulas import (
     subst_var,
     walk,
 )
-from hylotab.fragments import scan
 from hylotab.parser import parse
 from hylotab.preprocess import preprocess
 from hylotab.semantics import Interpretation, evaluate
@@ -127,7 +126,7 @@ def test_subst_nom_everywhere():
 
 def test_free_vars_and_nominals():
     f = Down("x", And(Var("x"), And(Var("y"), Nom("a"))))
-    assert scan(f).free == {"y"}
+    assert f.facts[1] == {"y"}
     assert nominals(f) == {"a"}
 
 

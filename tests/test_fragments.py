@@ -1,33 +1,25 @@
-import random
 from collections import Counter
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import pytest
 
 from hylotab import fragments, parser, preprocess, tableau
 from hylotab.corpus import functionality_formula, tiling_at, tiling_conv, default_tiles
 from hylotab.formulas import (
-    A,
+    GRADED,
+    NOT_NNF,
     And,
     At,
-    Bot,
-    Box,
     Diamond,
     Down,
-    E,
     Neg,
     Nom,
-    Or,
     Prop,
-    Top,
     Var,
-    bwd,
-    children,
     fwd,
     nnf,
     rel_syms,
 )
-from hylotab.fragments import FragmentError, classify, scan
+from hylotab.fragments import FragmentError, classify
 from hylotab.parser import Problem, parse_formula
 
 
@@ -35,36 +27,38 @@ def f(text):
     return nnf(parse_formula(text))
 
 
+def verdict(text):
+    return classify(Problem([], parse_formula(text)))
+
+
 def test_down_box_detection():
-    assert scan(f("down x . [r] !x")).down_box
-    assert not scan(f("down x . <r> x")).down_box
+    assert verdict("down x . [r] !x").has_down_box
+    assert not verdict("down x . <r> x").has_down_box
     # the global box counts as a universal operator
-    assert scan(f("down x . [A] x")).down_box
+    assert verdict("down x . [A] x").has_down_box
 
 
 def test_box_down_box_detection():
-    assert scan(f("[r] down x . [r] x")).box_down_box
-    assert not scan(f("down x . [r] x")).box_down_box
-    assert not scan(f("[r] down x . <r> x")).box_down_box
+    assert verdict("[r] down x . [r] x").has_box_down_box
+    assert not verdict("down x . [r] x").has_box_down_box
+    assert not verdict("[r] down x . <r> x").has_box_down_box
     # scope is tree dominance, not intermediated by @
-    assert scan(f("[A] down x . @'a [r] p")).box_down_box
+    assert verdict("[A] down x . @'a [r] p").has_box_down_box
 
 
 def test_box_down_box_through_negation():
     # NNF turns the negated diamond into a box
-    assert scan(f("! <r> down x . <r> !x")).box_down_box
+    assert verdict("! <r> down x . <r> !x").has_box_down_box
 
 
 def test_graded_restrictions():
-    assert not scan(f("[r]^1 p")).graded
-    w = scan(f("[s] [r]^1 p")).graded
-    assert w and any("1a" in name for name, _ in w)
-    w = scan(f("[r]^1 down x . [r] x")).graded
-    assert w and any("1b" in name for name, _ in w)
-    w = scan(f("[s] <r>^2 [r] p")).graded
-    assert w and any("(2)" in name for name, _ in w)
-    assert not scan(f("[s] <r>^2 p")).graded
-    assert not scan(f("<r>^2 [r] p")).graded
+    assert verdict("[r]^1 p").graded_ok
+    for text, kind in [("[s] [r]^1 p", "1a"), ("[r]^1 down x . [r] x", "1b"),
+                       ("[s] <r>^2 [r] p", "(2)")]:
+        assert not verdict(text).graded_ok
+        assert any(kind in name for name, _ in witnesses(text)), text
+    assert verdict("[s] <r>^2 p").graded_ok
+    assert verdict("<r>^2 [r] p").graded_ok
 
 
 def test_classify_tilings():
@@ -141,139 +135,61 @@ def test_witnesses_tilings():
     ]
 
 
-def random_hybrid(rng, depth):
-    """A formula over variables x and y with negations anywhere, graded
-    modalities (also under negation), @-prefixes that are variables, and
-    binders that may shadow an enclosing binder of the same variable."""
-    if depth == 0:
-        return rng.choice([Prop("p"), Nom("a"), Var("x"), Var("y")])
-    sub = lambda: random_hybrid(rng, depth - 1)
-    op = rng.randrange(9)
-    if op == 0:
-        return Neg(sub())
-    if op == 1:
-        return rng.choice([And, Or])(sub(), sub())
-    if op in (2, 3):
-        grade = rng.choice([None, None, 0, 1, 2])
-        return rng.choice([Diamond, Box])(rng.choice([fwd("r"), bwd("r")]), sub(), grade)
-    if op == 4:
-        return rng.choice([E, A])(sub())
-    if op == 5:
-        return At(rng.choice([Nom("a"), Var("x"), Var("y")]), sub())
-    return Down(rng.choice("xy"), sub())
-
-
-def ref_free(f, bound=frozenset()):
-    if isinstance(f, Var):
-        return set() if f.name in bound else {f.name}
-    if isinstance(f, Down):
-        return ref_free(f.sub, bound | {f.var})
-    if isinstance(f, At):
-        return ref_free(f.at, bound) | ref_free(f.sub, bound)
-    return set().union(*(ref_free(g, bound) for g in children(f)))
-
-
-def ref_grades(f):
-    return getattr(f, "grade", None) is not None or any(map(ref_grades, children(f)))
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=300, deadline=None)
-def test_scan_grades_and_free_match_reference(seed):
-    f = random_hybrid(random.Random(seed), 5)
-    for g in (f, nnf(f)):
-        found = scan(g)
-        assert found.grades == ref_grades(f)
-        assert found.free == ref_free(f)
-
-
-def test_scan_free_variables_by_example():
-    assert scan(Down("x", And(Var("x"), Var("y")))).free == {"y"}
+def test_free_variables_by_example():
+    assert Down("x", And(Var("x"), Var("y"))).facts[1] == {"y"}
     # an @-prefix counts, and an inner binder shadows the outer one
-    assert scan(At(Var("z"), Prop("p"))).free == {"z"}
-    assert scan(Down("x", At(Var("x"), Down("x", Var("x"))))).free == set()
-    assert scan(And(Var("x"), Down("x", Var("x")))).free == {"x"}
+    assert At(Var("z"), Prop("p")).facts[1] == {"z"}
+    assert Down("x", At(Var("x"), Down("x", Var("x")))).facts[1] == set()
+    assert And(Var("x"), Down("x", Var("x"))).facts[1] == {"x"}
     # grades count under negation and inside @
-    assert scan(Neg(At(Nom("a"), Diamond(fwd("r"), Prop("p"), 0)))).grades
-    assert not scan(parse_formula("[r] <r> p")).grades
+    assert Neg(At(Nom("a"), Diamond(fwd("r"), Prop("p"), 0))).facts[3] & GRADED
+    assert not parse_formula("[r] <r> p").facts[3] & GRADED
 
 
-NAMES = [Prop("p"), Nom("a"), Var("x"), Top(), Bot()]
-
-
-@st.composite
-def hybrid_formulas(draw, depth=4):
-    """Like `random_hybrid`, with true and false too and two relation symbols."""
-    if depth == 0 or draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(NAMES))
-    sub = lambda: draw(hybrid_formulas(depth - 1))
-    op = draw(st.integers(0, 6))
-    if op == 0:
-        return Neg(sub())
-    if op == 1:
-        return draw(st.sampled_from([And, Or]))(sub(), sub())
-    if op == 2:
-        rel = draw(st.sampled_from([fwd("r"), bwd("r"), fwd("s")]))
-        grade = draw(st.sampled_from([None, 0, 2]))
-        return draw(st.sampled_from([Diamond, Box]))(rel, sub(), grade)
-    if op == 3:
-        return draw(st.sampled_from([E, A]))(sub())
-    if op == 4:
-        return At(draw(st.sampled_from([Nom("a"), Var("x")])), sub())
-    return Down(draw(st.sampled_from("xy")), sub())
-
-
-@given(hybrid_formulas())
-@settings(max_examples=300, deadline=None)
-def test_scan_nnf_and_rels_match_reference(g):
-    found = scan(g)
-    assert found.nnf == (nnf(g) is g)
-    assert found.rels == rel_syms(g)
-
-
-def test_scan_nnf_and_rels_by_example():
+def test_nnf_and_rels_by_example():
     for text, in_nnf in [
         ("!true", False), ("!false", False), ("!!p", False), ("<r> ! <s> p", False),
         ("down x . @x !!x", False), ("!p & !'a", True), ("down x . @x !x", True),
     ]:
-        assert scan(parse_formula(text)).nnf is in_nnf, text
-    assert scan(f("[r-]^1 p & @'a <s> <E> q")).rels == {"r", "s"}
-    assert scan(f("@'a [A] p")).rels == frozenset()
-
-
-def test_scan_is_kept_on_the_node_and_immutable():
-    g = f("[r] down x . [r] x & [s] <r>^2 [r] !'a")
-    found = scan(g)
-    assert scan(g) is found
-    for name in ("box_down_box", "down_box", "graded"):
-        assert isinstance(getattr(found, name), tuple) and getattr(found, name)
-    assert isinstance(found.free, frozenset) and isinstance(found.rels, frozenset)
-    # classify and FragmentError still hand out lists
-    witnesses = found.box_down_box + found.down_box + found.graded
-    assert classify(Problem([], g)).witnesses == list(witnesses)
-    assert FragmentError("outside", found.graded).witnesses == list(found.graded)
+        assert (not parse_formula(text).facts[3] & NOT_NNF) is in_nnf, text
+    assert rel_syms(f("[r-]^1 p & @'a <s> <E> q")) == {"r", "s"}
+    assert rel_syms(f("@'a [A] p")) == frozenset()
 
 
 def count_walks(monkeypatch, text):
-    """Root calls of the whole-formula walks of parse, preprocess and solve."""
+    """Root calls of the whole-formula walks of parse, preprocess and solve.
+    `expand_grades` and `_tau` recurse through the patched globals, so a
+    root call counts when it re-enters, that is when it walks.  `nnf`
+    recurses inside `formulas`, so a call counts when it rewrites: an NNF
+    input is returned itself, from its facts.  `witnesses` counts always."""
     counts = Counter()
 
-    def counted(key, fn):
-        depth = [0]
+    def counted(key, fn, walked):
+        depth, entries = [0], [0]
 
         def wrapper(*args):
-            counts[key] += not depth[0]
+            if not depth[0]:
+                entries[0] = 0
             depth[0] += 1
+            entries[0] += 1
             try:
-                return fn(*args)
+                out = fn(*args)
             finally:
                 depth[0] -= 1
+            if not depth[0] and walked(args[0], out, entries[0]):
+                counts[key] += 1
+            return out
 
         return wrapper
 
-    for module, name in [(fragments, "_scan"), (fragments, "nnf"), (tableau, "nnf"),
-                         (preprocess, "expand_grades"), (preprocess, "_tau")]:
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    always = lambda f, out, entries: True
+    rewrote = lambda f, out, entries: out is not f
+    reentered = lambda f, out, entries: entries > 1
+    for module, name, walked in [(fragments, "witnesses", always), (fragments, "nnf", rewrote),
+                                 (tableau, "nnf", rewrote),
+                                 (preprocess, "expand_grades", reentered),
+                                 (preprocess, "_tau", reentered)]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name), walked))
     result = tableau.solve(preprocess.preprocess(parser.parse(text)))
     assert result.verdict in ("sat", "unsat")
     return counts
@@ -281,12 +197,27 @@ def count_walks(monkeypatch, text):
 
 def test_one_scan_and_no_other_walk_on_plain_input(monkeypatch):
     # grade-free, in NNF, and its one binder scopes over no universal: the
-    # formula's facts answer every scan, so not even the witness walk runs
+    # formula's facts answer every check, so no walk runs
     text = "trans r; r <= s; formula: <r> p & [s] (q | down x . <r-> x) & @'a !p;"
     assert count_walks(monkeypatch, text) == {}
 
 
 def test_graded_input_scans_at_most_three_times(monkeypatch):
+    # valid input: its facts say where to rewrite, so no position is walked for
     counts = count_walks(monkeypatch, "formula: <r>^2 p & [r]^3 !p;")
-    assert counts["_scan"] <= 3
-    assert counts["expand_grades"] == counts["_tau"] == 1
+    assert counts == {"expand_grades": 1, "_tau": 1}
+
+
+def test_classify_walks_only_the_nnf(monkeypatch):
+    problem = parser.parse("formula: !(<r> down x . <r> [r] x) & [s] down y . [s] y;")
+    walked = []
+    walk = fragments.witnesses
+    monkeypatch.setattr(fragments, "witnesses", lambda g: walked.append(g) or walk(g))
+    v = classify(problem)
+    assert (v.has_box_down_box, v.has_down_box, v.graded_ok) == (True, True, True)
+    assert walked == []  # the flags come from the bits
+    assert v.witnesses == [(BDB, (0, 0)), (BDB, (1, 0)), (DB, (0, 0)), (DB, (1, 0))]
+    with pytest.raises(FragmentError) as exc:
+        preprocess.preprocess(problem)
+    assert exc.value.witnesses == [(BDB, (0, 0)), (BDB, (1, 0))]
+    assert walked == [nnf(problem.formula)] * 2

@@ -6,23 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hylotab.formulas import (
+    DOWN_BOX,
+    GRADED,
     A,
     And,
     At,
     Box,
     Diamond,
     Down,
+    E,
     Neg,
     Nom,
     Or,
     Prop,
     Var,
+    bwd,
     fwd,
     nnf,
 )
 from hylotab.corpus import random_fragment_problem
-from hylotab.fragments import scan
-from hylotab.parser import Problem, parse_formula
+from hylotab.parser import Problem, parse, parse_formula
 from hylotab.preprocess import (
     FragmentError,
     FreshNames,
@@ -36,10 +39,31 @@ from hylotab.semantics import Interpretation, evaluate
 from hylotab.tableau import init_branch
 
 from test_formulas import random_formula, ref_is_nnf
-from test_fragments import random_hybrid
 
 r = fwd("r")
 p = Prop("p")
+
+
+def random_hybrid(rng, depth):
+    """A formula over variables x and y with negations anywhere, graded
+    modalities (also under negation), @-prefixes that are variables, and
+    binders that may shadow an enclosing binder of the same variable."""
+    if depth == 0:
+        return rng.choice([Prop("p"), Nom("a"), Var("x"), Var("y")])
+    sub = lambda: random_hybrid(rng, depth - 1)
+    op = rng.randrange(9)
+    if op == 0:
+        return Neg(sub())
+    if op == 1:
+        return rng.choice([And, Or])(sub(), sub())
+    if op in (2, 3):
+        grade = rng.choice([None, None, 0, 1, 2])
+        return rng.choice([Diamond, Box])(rng.choice([fwd("r"), bwd("r")]), sub(), grade)
+    if op == 4:
+        return rng.choice([E, A])(sub())
+    if op == 5:
+        return At(rng.choice([Nom("a"), Var("x"), Var("y")]), sub())
+    return Down(rng.choice("xy"), sub())
 
 
 def test_graded_diamond_shapes():
@@ -62,6 +86,42 @@ def test_graded_diamond_n2():
     inner1 = Down("_v2", At(x, Diamond(r, And(And(p, Neg(y1)), inner2))))
     want = Down("_v1", Diamond(r, And(p, inner1)))
     assert got == want
+
+
+def ref_graded_diamond(rel, n, f, fresh):
+    """The docstring's definition of `expand_graded_diamond`, nested by recursion."""
+    if n == 0:
+        return Diamond(rel, f)
+    x = fresh.variable()
+    ys = [fresh.variable() for _ in range(n)]
+
+    def chain(i):
+        body = f
+        for y in ys[:i]:
+            body = And(body, Neg(Var(y)))
+        if i < n:
+            body = And(body, Down(ys[i], At(Var(x), Diamond(rel, chain(i + 1)))))
+        return body
+
+    return Down(x, Diamond(rel, chain(0)))
+
+
+def test_graded_diamond_matches_the_recursive_definition():
+    for n in range(7):
+        for rel, body in [(r, p), (bwd("s"), And(p, Box(r, Var("z"))))]:
+            fresh, ref_fresh = FreshNames(), FreshNames()
+            fresh.counter = ref_fresh.counter = 5
+            got = expand_graded_diamond(rel, n, body, fresh)
+            assert got is ref_graded_diamond(rel, n, body, ref_fresh), n
+            assert fresh.counter == ref_fresh.counter
+
+
+def test_high_grade_diamond_preprocesses():
+    """The binder chain is built in a loop, so its length is not bounded
+    by the recursion limit."""
+    f = preprocess(parse("formula: <r>^3000 p;")).formula
+    assert isinstance(f, Down) and f.var == "_v1"
+    assert not f.facts[1] and not f.facts[3] & (GRADED | DOWN_BOX)
 
 
 def test_graded_box_shapes():
@@ -131,7 +191,7 @@ def test_graded_box_equivalent_on_small_models(n):
 def test_expand_grades_nested():
     f = Diamond(r, Diamond(r, p, grade=1), grade=1)
     g = expand_grades(f, FreshNames())
-    assert not scan(g).grades
+    assert not g.facts[3] & GRADED
 
 
 @given(st.integers(0, 10 ** 6))
@@ -153,7 +213,7 @@ def test_rewrites_return_unchanged_input_itself(seed):
     f = nnf(random_formula(random.Random(seed), 4))
     fresh = FreshNames()
     assert expand_grades(f, fresh) is f
-    if not scan(f).down_box:
+    if not f.facts[3] & DOWN_BOX:
         assert tau(f, fresh) is f
 
 
@@ -210,9 +270,7 @@ def test_tau_rejects_box_down_box():
 
 def test_preprocess_pipeline():
     q = preprocess(Problem([], parse_formula("<r>^1 p & down x . [r] x")))
-    found = scan(q.formula)
-    assert not found.grades
-    assert not found.down_box
+    assert not q.formula.facts[3] & (GRADED | DOWN_BOX)
 
 
 def test_preprocess_rejects_outside_fragment():
